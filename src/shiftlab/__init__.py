@@ -6,7 +6,6 @@ exterior generic initial ideals over GF(p).
 """
 
 from .complexes import (
-    DegreeSlice,
     SimplicialComplex,
     f_vector,
     from_facets,
@@ -42,7 +41,6 @@ from .shifting import enumerate_shifted, replay, s_ij_zero, shift_ij, shift_to_s
 from .verify import VerificationReport, random_complex, verify_theorems
 
 __all__ = [
-    "DegreeSlice",
     "SimplicialComplex",
     "BettiTable",
     "GenericMatrix",

@@ -16,7 +16,7 @@ from . import section4 as s4
 from .complexes import (
     f_vector,
     from_json,
-    ideal_degree_slice,
+    ideal_slices,
     minimal_nonfaces,
     to_json_dict,
 )
@@ -72,8 +72,8 @@ def _cmd_shift(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     cx = _load(args.complex)
-    for shifted in sorted(enumerate_shifted(cx, args.limit), key=lambda c: c.canonical_key()):
-        print(json.dumps(list(shifted.canonical_key())))
+    for faces in sorted(sorted(c.faces) for c in enumerate_shifted(cx, args.limit)):
+        print(json.dumps(faces))
     return 0
 
 
@@ -83,14 +83,15 @@ def _cmd_gin(args) -> int:
     gens_by_degree: dict[int, list] = {}
     for g in minimal_nonfaces(result):
         gens_by_degree.setdefault(degree(g), []).append(list(members_of(g)))
+    slices = ideal_slices(result)
     report = [
         {
             "degree": d,
-            "pivot_count": len(ideal_degree_slice(result, d).monomials),
+            "pivot_count": len(slices[d]),
             "new_generators": gens_by_degree.get(d, []),
         }
         for d in range(1, result.n + 1)
-        if ideal_degree_slice(result, d).monomials
+        if slices[d]
     ]
     print(json.dumps({"complex": to_json_dict(result), "pivot_report": report}))
     return 0

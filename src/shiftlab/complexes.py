@@ -30,19 +30,6 @@ RELAXED = "relaxed"
 
 
 @dataclass(frozen=True)
-class DegreeSlice:
-    """All degree-d monomials of a squarefree monomial ideal."""
-
-    d: int
-    monomials: frozenset[int]
-
-    def __post_init__(self):
-        for m in self.monomials:
-            if degree(m) != self.d:
-                raise ValueError("slice member of wrong cardinality")
-
-
-@dataclass(frozen=True)
 class SimplicialComplex:
     n: int
     faces: frozenset[int]
@@ -77,10 +64,6 @@ class SimplicialComplex:
 
     def __contains__(self, mask: int) -> bool:
         return mask in self.faces
-
-    def canonical_key(self) -> tuple[int, ...]:
-        """Exact state identity: the sorted face masks."""
-        return tuple(sorted(self.faces))
 
 
 def _closure(masks: Iterable[int]) -> frozenset[int]:
@@ -164,20 +147,19 @@ def is_shifted(cx: SimplicialComplex) -> bool:
     """Whether every face stays a face when any element is raised.
 
     For each face sigma, each i in sigma and each j > i outside sigma,
-    (sigma - i) + j must again be a face.
+    (sigma - i) + j must again be a face.  Only the cover moves
+    i -> i+1 are tested: when they stay inside the complex, any raise
+    i -> j is a chain of them through faces (walk the largest member
+    of sigma below j up to j, then the next one up into the slot it
+    left, and so on down to i).
     """
     if cx.mode != STRICT:
         raise ValueError("shiftedness is defined for strict-mode complexes")
-    for f in cx.faces:
-        for i in range(cx.n):
-            if not f >> i & 1:
-                continue
-            base = f & ~(1 << i)
-            for j in range(i + 1, cx.n):
-                if f >> j & 1:
-                    continue
-                if (base | (1 << j)) not in cx.faces:
-                    return False
+    faces = cx.faces
+    for f in faces:
+        for i in range(cx.n - 1):
+            if f >> i & 1 and not f >> (i + 1) & 1 and f ^ (3 << i) not in faces:
+                return False
     return True
 
 
@@ -195,20 +177,16 @@ def minimal_nonfaces(cx: SimplicialComplex) -> list[int]:
     return out
 
 
-def ideal_degree_slice(cx: SimplicialComplex, d: int) -> DegreeSlice:
+def ideal_degree_slice(cx: SimplicialComplex, d: int) -> frozenset[int]:
     """All d-subsets of [n] that are not faces: the degree-d part of I_Delta."""
     if not 0 <= d <= cx.n:
         raise ValueError("degree out of range")
-    mons = frozenset(m for m in all_faces(cx.n, d) if m not in cx.faces)
-    return DegreeSlice(d, mons)
+    return frozenset(m for m in all_faces(cx.n, d) if m not in cx.faces)
 
 
 def ideal_slices(cx: SimplicialComplex) -> dict[int, frozenset[int]]:
     """Degree slices of I_Delta for every degree 0..n, keyed by degree."""
-    out: dict[int, frozenset[int]] = {}
-    for d in range(cx.n + 1):
-        out[d] = ideal_degree_slice(cx, d).monomials
-    return out
+    return {d: ideal_degree_slice(cx, d) for d in range(cx.n + 1)}
 
 
 def m_leq(slices: Mapping[int, frozenset[int]], i: int, d: int) -> int:

@@ -30,6 +30,7 @@ from .complexes import (
     from_faces,
     ideal_degree_slice,
     is_shifted,
+    m_leq,
 )
 from .faces import binom, mask_of, members_of, revlex_key
 
@@ -116,7 +117,7 @@ def phi_image_matrix(cx: SimplicialComplex, d: int, phi: GenericMatrix) -> tuple
     if not 1 <= d <= cx.n:
         raise ValueError("degree out of range")
     n, p = cx.n, phi.p
-    slice_masks = sorted(ideal_degree_slice(cx, d).monomials, key=revlex_key)
+    slice_masks = sorted(ideal_degree_slice(cx, d), key=revlex_key)
     col_masks, perm = revlex_column_order(n, d)
     if not slice_masks:
         return np.zeros((0, len(col_masks)), dtype=np.int64), col_masks
@@ -140,23 +141,22 @@ def phi_image_matrix(cx: SimplicialComplex, d: int, phi: GenericMatrix) -> tuple
     return M.astype(np.int64), col_masks
 
 
+def _gin_degree(cx: SimplicialComplex, d: int, p: int, phi: GenericMatrix) -> frozenset[int]:
+    """Degree-d non-face masks of the generic initial complex for one draw."""
+    slice_d = ideal_degree_slice(cx, d)
+    if not slice_d or len(slice_d) == binom(cx.n, d):
+        # an empty or full slice is fixed by every change of coordinates
+        return slice_d
+    M, col_masks = phi_image_matrix(cx, d, phi)
+    pivots = gfp.pivot_columns(M, p)
+    if len(pivots) != len(slice_d):
+        raise AssertionError("pivot count must equal slice dimension")
+    return frozenset(col_masks[c] for c in pivots)
+
+
 def _gin_nonfaces_once(cx: SimplicialComplex, p: int, phi: GenericMatrix) -> dict[int, frozenset[int]]:
     """Non-face masks of the generic initial complex, per degree."""
-    n = cx.n
-    out: dict[int, frozenset[int]] = {}
-    for d in range(1, n + 1):
-        slice_d = ideal_degree_slice(cx, d).monomials
-        total = binom(n, d)
-        if not slice_d:
-            out[d] = frozenset()
-        elif len(slice_d) == total:
-            out[d] = frozenset(slice_d)
-        else:
-            M, col_masks = phi_image_matrix(cx, d, phi)
-            pivots = gfp.pivot_columns(M, p)
-            out[d] = frozenset(col_masks[c] for c in pivots)
-            assert len(out[d]) == len(slice_d), "pivot count must equal slice dimension"
-    return out
+    return {d: _gin_degree(cx, d, p, phi) for d in range(1, cx.n + 1)}
 
 
 def _complex_from_nonfaces(n: int, nonfaces: dict[int, frozenset[int]]) -> SimplicialComplex:
@@ -175,6 +175,8 @@ def gin(cx: SimplicialComplex, p: int = 32003, seed: int = 1, retries: int = 3) 
     """
     if cx.mode != STRICT:
         raise ValueError("gin requires a strict-mode complex")
+    if retries < 1:
+        raise ValueError("retries must be at least 1")
     for attempt in range(retries):
         s1 = seed + 1_000_003 * attempt
         s2 = s1 + 7919
@@ -198,19 +200,9 @@ def m_leq_via_rank(
     The columns revlex-above the window face {i-d+1, ..., i} are exactly
     those with largest index <= i, i.e. the first C(i,d) columns of the
     revlex-descending order; the rank of that prefix equals the number
-    of pivots falling inside it.
+    of pivots falling inside it, which is what m_leq counts on the
+    single-draw degree-d result.
     """
     if not 1 <= d <= cx.n:
         raise ValueError("degree out of range")
-    if i < d:
-        return 0
-    slice_d = ideal_degree_slice(cx, d).monomials
-    if not slice_d:
-        return 0
-    prefix = binom(i, d)
-    if len(slice_d) == binom(cx.n, d):
-        # full slice: matrix is a basis change, rank of prefix = prefix width
-        return prefix
-    M, _ = phi_image_matrix(cx, d, random_gl(cx.n, p, seed))
-    pivots = gfp.pivot_columns(M, p)
-    return sum(1 for c in pivots if c < prefix)
+    return m_leq({d: _gin_degree(cx, d, p, random_gl(cx.n, p, seed))}, i, d)

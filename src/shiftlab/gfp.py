@@ -1,9 +1,9 @@
 """Exact dense linear algebra over GF(p).
 
 Matrices are numpy arrays holding integer values reduced mod p.  All
-arithmetic is done in float64: entries stay below p < 2**15 and panel
-widths are capped so every intermediate product sum stays below 2**53,
-hence every operation is exact.
+arithmetic is done in float64.  Entries stay below p, and p must be a
+prime with _PANEL * (p-1)**2 + p < 2**53 (hence p <= 2**23), so every
+intermediate product sum is an exactly represented integer.
 
 The one primitive everything else uses is :func:`pivot_columns`:
 Gaussian elimination with a fixed left-to-right column order, returning
@@ -13,9 +13,19 @@ number of pivots inside that prefix.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 _PANEL = 128
+
+
+@lru_cache(maxsize=None)
+def _check_field(p: int) -> None:
+    """Refuse p unless it is a prime whose panel sums stay exact in float64."""
+    exact = 2 <= p and _PANEL * (p - 1) ** 2 + p < 2**53
+    if not exact or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        raise ValueError(f"field size {p} is not a prime p with {_PANEL}*(p-1)^2 + p < 2^53")
 
 
 def pivot_columns(mat, p: int) -> list[int]:
@@ -24,9 +34,11 @@ def pivot_columns(mat, p: int) -> list[int]:
     Uses delayed ("panel") updates: eliminations are accumulated as a
     rank-k correction F @ R and applied to single columns on demand,
     flushing to the whole trailing matrix via one matrix product every
-    _PANEL pivots.  Exactness: entries < p < 2**15, so a panel update
-    sums at most _PANEL products each below 2**30 -- well under 2**53.
+    _PANEL pivots.  Exactness: entries are below p, so a panel update
+    adds at most _PANEL products each at most (p-1)**2 to a value below
+    p, which _check_field keeps below 2**53.
     """
+    _check_field(p)
     M = np.ascontiguousarray(np.asarray(mat, dtype=np.float64) % p)
     m, nc = M.shape
     if m == 0 or nc == 0:

@@ -13,10 +13,6 @@ paths are provided:
 
 from __future__ import annotations
 
-import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from . import gfp
@@ -24,14 +20,6 @@ from .complexes import SimplicialComplex, ideal_slices, is_shifted, m_leq, restr
 from .faces import binom, degree, members_of
 
 BettiTable = dict[tuple[int, int], int]
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("SHIFTLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def boundary_matrix(cx: SimplicialComplex, k: int, p: int) -> np.ndarray:
@@ -88,28 +76,10 @@ def hochster_betti(cx: SimplicialComplex, p: int) -> BettiTable:
     """
     if cx.mode != "strict":
         raise ValueError("Hochster's formula requires a strict-mode complex")
-    verts = range(1, cx.n + 1)
-    subsets = []
-    for size in range(1, cx.n + 1):
-        for combo in itertools.combinations(verts, size):
-            w = 0
-            for v in combo:
-                w |= 1 << (v - 1)
-            subsets.append((size, w))
-
-    def profile(item):
-        size, w = item
-        return size, reduced_homology_dims(restriction(cx, w), p)
-
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(profile, subsets))
-    else:
-        results = [profile(item) for item in subsets]
-
     table: BettiTable = {}
-    for size, dims in results:
+    for w in range(1, 1 << cx.n):
+        size = degree(w)
+        dims = reduced_homology_dims(restriction(cx, w), p)
         for k, dim_k in enumerate(dims, start=-1):
             if dim_k == 0:
                 continue

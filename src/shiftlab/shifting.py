@@ -39,10 +39,10 @@ def shift_ij(cx: SimplicialComplex, i: int, j: int) -> SimplicialComplex:
             out.add(moved if moved not in cx.faces else f)
         else:
             out.add(f)
-    result = SimplicialComplex(cx.n, frozenset(out), STRICT)
-    # downward closure is a theorem for C_ij; assert it cheaply
-    assert len(out) == len(cx.faces), "C_ij must be injective on faces"
-    return result
+    # downward closure is a theorem for C_ij; check it cheaply
+    if len(out) != len(cx.faces):
+        raise AssertionError("C_ij must be injective on faces")
+    return SimplicialComplex(cx.n, frozenset(out), STRICT)
 
 
 def _all_pairs(n: int) -> list[tuple[int, int]]:
@@ -134,8 +134,7 @@ def enumerate_shifted(
     pairs = candidate_pairs if candidate_pairs is not None else _all_pairs(cx.n)
     for i, j in pairs:
         _check_pair(cx.n, i, j)
-    start = cx.canonical_key()
-    visited = {start: cx}
+    visited = {cx.faces}
     frontier = [cx]
     shifted_out: set[SimplicialComplex] = set()
     if is_shifted(cx):
@@ -145,12 +144,11 @@ def enumerate_shifted(
         for state in frontier:
             for i, j in pairs:
                 nxt = shift_ij(state, i, j)
-                key = nxt.canonical_key()
-                if key in visited:
+                if nxt.faces in visited:
                     continue
                 if len(visited) >= state_limit:
                     raise RuntimeError("enumerate_shifted state limit exceeded")
-                visited[key] = nxt
+                visited.add(nxt.faces)
                 nxt_frontier.append(nxt)
                 if is_shifted(nxt):
                     shifted_out.add(nxt)

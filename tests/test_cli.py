@@ -41,6 +41,19 @@ def test_betti_command_shifted(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == ["0\t2\t1"]
 
 
+# 4294967311 is prime but too large for exact float64 elimination
+@pytest.mark.parametrize(
+    "command, flags",
+    [("betti", ["--field", f]) for f in ("4", "1", "0", "4294967311")]
+    + [("gin", ["--prime", "4"]), ("gin", ["--retries", "0"])],
+)
+def test_bad_field_or_retries_exit_2(cycle_path, command, flags, capsys):
+    assert main([command, cycle_path, *flags]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert len(out.err.splitlines()) == 1 and out.err.startswith("shiftlab: error:")
+
+
 def test_shift_command_pairs(path_graph_path, capsys):
     assert main(["shift", path_graph_path, "--pairs", "2,3"]) == 0
     doc = json.loads(capsys.readouterr().out)
