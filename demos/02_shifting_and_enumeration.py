@@ -41,5 +41,5 @@ for strategy in ("sweep", "random"):
 cx = from_facets(5, [[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]])
 reachable = enumerate_shifted(cx)
 print(f"\n5-cycle reaches {len(reachable)} shifted complex(es):")
-for sc in reachable:
+for sc in sorted(reachable, key=lambda c: sorted(c.faces)):
     show("  reachable", sc)

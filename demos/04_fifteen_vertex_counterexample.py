@@ -7,8 +7,8 @@ degree 3..8 carries; no label is all-A or all-B, and no Betti table
 among the 16 dominates, or is dominated by, all the others.
 
 Run:  python3 demos/04_fifteen_vertex_counterexample.py   (~15 s)
-Add the generic-initial non-membership check (slow, tens of minutes)
-with the CLI:  shiftlab section4 --phase negatives
+Add the generic-initial non-membership check (about 20 s more) with
+the CLI:  shiftlab section4 --phase negatives
 """
 
 from shiftlab import (

@@ -5,10 +5,11 @@ arithmetic is done in float64.  Entries stay below p, and p must be a
 prime with _PANEL * (p-1)**2 + p < 2**53 (hence p <= 2**23), so every
 intermediate product sum is an exactly represented integer.
 
-The one primitive everything else uses is :func:`pivot_columns`:
+The primitive behind every rank and pivot set is :func:`pivot_columns`:
 Gaussian elimination with a fixed left-to-right column order, returning
 the columns that carry a pivot.  The rank of any column prefix is the
-number of pivots inside that prefix.
+number of pivots inside that prefix.  :func:`inverse` is a separate
+Gauss-Jordan elimination for the small square coordinate changes.
 """
 
 from __future__ import annotations
@@ -20,8 +21,12 @@ import numpy as np
 _PANEL = 128
 
 
+class SingularMatrixError(ValueError):
+    """A square matrix has no inverse mod p."""
+
+
 @lru_cache(maxsize=None)
-def _check_field(p: int) -> None:
+def check_field(p: int) -> None:
     """Refuse p unless it is a prime whose panel sums stay exact in float64."""
     exact = 2 <= p and _PANEL * (p - 1) ** 2 + p < 2**53
     if not exact or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
@@ -36,9 +41,9 @@ def pivot_columns(mat, p: int) -> list[int]:
     flushing to the whole trailing matrix via one matrix product every
     _PANEL pivots.  Exactness: entries are below p, so a panel update
     adds at most _PANEL products each at most (p-1)**2 to a value below
-    p, which _check_field keeps below 2**53.
+    p, which check_field keeps below 2**53.
     """
-    _check_field(p)
+    check_field(p)
     M = np.ascontiguousarray(np.asarray(mat, dtype=np.float64) % p)
     m, nc = M.shape
     if m == 0 or nc == 0:
@@ -87,6 +92,27 @@ def rank(mat, p: int) -> int:
     return len(pivot_columns(mat, p))
 
 
-def invertible(mat, p: int) -> bool:
-    a = np.asarray(mat)
-    return a.shape[0] == a.shape[1] and rank(a, p) == a.shape[0]
+def inverse(mat, p: int) -> np.ndarray:
+    """Inverse of a square matrix mod p, by Gauss-Jordan elimination.
+
+    Raises :class:`SingularMatrixError` when the matrix is singular mod
+    p.  Each update subtracts one product of two entries below p from a
+    value below p, so every intermediate is exact in float64.
+    """
+    check_field(p)
+    a = np.asarray(mat, dtype=np.float64) % p
+    n = a.shape[0]
+    if a.shape != (n, n):
+        raise ValueError("only a square matrix has an inverse")
+    aug = np.concatenate([a, np.eye(n)], axis=1)
+    for c in range(n):
+        cand = np.nonzero(aug[c:, c])[0]
+        if cand.size == 0:
+            raise SingularMatrixError(f"matrix is singular mod {p}")
+        t = c + int(cand[0])
+        aug[[c, t]] = aug[[t, c]]
+        aug[c] = aug[c] * pow(int(aug[c, c]), p - 2, p) % p
+        col = aug[:, c].copy()
+        col[c] = 0.0
+        aug = (aug - np.outer(col, aug[c])) % p
+    return aug[:, n:].astype(np.int64)

@@ -1,15 +1,11 @@
 """End-to-end acceptance gate.
 
 Each test covers one numbered criterion, prints a single PASS/FAIL line,
-and compares integers exactly (zero tolerance everywhere).  Criterion 9
-(the generic-initial non-membership check on the 15-vertex complex) is
-slow and runs only with ``--slow``.
+and compares integers exactly (zero tolerance everywhere).
 """
 
 import random
 from functools import lru_cache
-
-import pytest
 
 from shiftlab import (
     betti_leq,
@@ -167,7 +163,6 @@ def test_criterion_8_no_extremal_betti_table():
     )
 
 
-@pytest.mark.slow
 def test_criterion_9_gin_not_among_combinatorial_shifts():
     keys = {cx.faces for cx in classified_section4().values()}
     g = gin(section4_build(), p=P, seed=1)

@@ -45,13 +45,16 @@ def test_betti_command_shifted(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command, flags",
     [("betti", ["--field", f]) for f in ("4", "1", "0", "4294967311")]
-    + [("gin", ["--prime", "4"]), ("gin", ["--retries", "0"])],
+    + [("gin", ["--prime", "4"]), ("gin", ["--retries", "0"])]
+    + [("gin", ["--prime", p]) for p in ("0", "-3")],
 )
 def test_bad_field_or_retries_exit_2(cycle_path, command, flags, capsys):
     assert main([command, cycle_path, *flags]) == 2
     out = capsys.readouterr()
     assert out.out == ""
     assert len(out.err.splitlines()) == 1 and out.err.startswith("shiftlab: error:")
+    if flags[0] in ("--field", "--prime"):
+        assert f"field size {flags[1]} is not a prime" in out.err
 
 
 def test_shift_command_pairs(path_graph_path, capsys):

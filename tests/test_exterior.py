@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -8,6 +9,7 @@ from shiftlab import (
     from_facets,
     full_simplex,
     gin,
+    ideal_degree_slice,
     ideal_slices,
     is_shifted,
     m_leq,
@@ -20,13 +22,18 @@ from shiftlab import (
     shift_ij,
     shift_to_shifted,
 )
-from shiftlab import gfp
+from shiftlab import complexes, exterior, gfp
 from shiftlab.complexes import RELAXED
 from shiftlab.exterior import GenericMatrix
-from shiftlab.faces import max_index
+from shiftlab.faces import binom, max_index, revlex_key
 from shiftlab.verify import random_complex
 
 P = 32003
+
+
+def slice_rows(cx, d):
+    """The degree-d ideal slice of cx in revlex-descending order."""
+    return sorted(ideal_degree_slice(cx, d), key=revlex_key)
 
 
 def test_random_gl_basics():
@@ -36,13 +43,13 @@ def test_random_gl_basics():
     b = random_gl(6, P, 42)
     assert np.array_equal(a.entries, b.entries)
     big = random_gl(15, P, 7)
-    assert gfp.invertible(big.entries, P)
+    assert np.array_equal(big.entries @ big.dual.T % P, np.eye(15))
 
 
 def test_phi_image_identity_is_permutation():
     cx = from_facets(3, [[1, 2], [2, 3]])
     ident = GenericMatrix(3, P, 0, np.eye(3, dtype=np.int64))
-    M, cols = phi_image_matrix(cx, 2, ident)
+    M, cols = phi_image_matrix(slice_rows(cx, 2), 2, ident.entries, P)
     # one row for the single degree-2 nonface {1,3}; single 1 at its column
     assert M.shape == (1, 3)
     nz = np.nonzero(M[0])[0]
@@ -54,7 +61,7 @@ def test_phi_image_degree_one_rows():
     cx = from_facets(3, [[1, 2]], mode=RELAXED)
     phi = random_gl(3, P, 3)
     # degree-1 slice is the missing vertex {3}; row = row 3 of phi
-    M, cols = phi_image_matrix(cx, 1, phi)
+    M, cols = phi_image_matrix(slice_rows(cx, 1), 1, phi.entries, P)
     assert M.shape == (1, 3)
     by_col = {cols[c]: int(M[0, c]) for c in range(3)}
     for v in range(1, 4):
@@ -66,7 +73,7 @@ def test_phi_image_minor_example():
     # with rows {1,3} and columns {1,2}
     cx = from_facets(3, [[1, 2], [2, 3]])  # nonfaces: {1,3}, {1,2,3}
     phi = random_gl(3, P, 9)
-    M, cols = phi_image_matrix(cx, 2, phi)
+    M, cols = phi_image_matrix(slice_rows(cx, 2), 2, phi.entries, P)
     g = phi.entries
     want = int(g[0, 0] * g[2, 1] - g[0, 1] * g[2, 0]) % P
     col = cols.index(mask_of([1, 2]))
@@ -157,16 +164,130 @@ def test_rank_monotone_under_shift():
 
 def test_pivot_prefix_equals_rank_statistic():
     # the number of pivots in a revlex prefix equals the rank statistic
-    from shiftlab.faces import binom
-
     cx = random_complex(5, 0.5, 123)
     phi = random_gl(5, P, 55)
     for d in range(2, 5):
         if not ideal_slices(cx)[d]:
             continue
-        M, cols = phi_image_matrix(cx, d, phi)
+        M, cols = phi_image_matrix(slice_rows(cx, d), d, phi.entries, P)
         piv = gfp.pivot_columns(M, P)
         for i in range(d, 6):
             prefix = binom(i, d)
             assert all(max_index(cols[c]) <= i for c in range(prefix))
             assert sum(1 for c in piv if c < prefix) == gfp.rank(M[:, :prefix], P)
+
+
+def test_gfp_inverse_oracle():
+    rng = np.random.default_rng(3)
+    for p in (2, 5, P):
+        for n in (1, 2, 4, 9):
+            for _ in range(10):
+                a = rng.integers(0, p, size=(n, n))
+                try:
+                    inv = gfp.inverse(a, p)
+                except gfp.SingularMatrixError:
+                    assert gfp.rank(a, p) < n
+                    continue
+                assert gfp.rank(a, p) == n
+                assert np.array_equal(a @ inv % p, np.eye(n))
+                assert np.array_equal(inv @ a % p, np.eye(n))
+    with pytest.raises(gfp.SingularMatrixError):
+        gfp.inverse([[1, 2], [2, 4]], P)
+    with pytest.raises(gfp.SingularMatrixError):
+        gfp.inverse([[2, 1], [1, 3]], 5)  # determinant 5
+    with pytest.raises(ValueError):
+        gfp.inverse(np.ones((2, 3)), P)
+
+
+def test_random_gl_refuses_bad_field_before_drawing():
+    for p in (0, -3, 4):
+        with pytest.raises(ValueError, match="field size"):
+            random_gl(3, p, 1)
+
+
+def random_facet_complex(rng, n):
+    facets = [[v] for v in range(1, n + 1)]
+    for _ in range(rng.randint(1, 2 * n)):
+        facets.append(rng.sample(range(1, n + 1), rng.randint(2, n - 1)))
+    return from_facets(n, facets)
+
+
+def test_face_side_matches_ideal_side():
+    # the face side's reversed-order pivots are the complement of the
+    # ideal side's pivots for every draw, generic or not: a draw over
+    # GF(3) is often degenerate, and a unitriangular draw is never generic
+    rng = random.Random(12)
+    compared = {False: 0, True: 0}  # keyed by which side gin would pick
+    for t in range(160):
+        n = rng.randint(3, 8)
+        cx = random_facet_complex(rng, n)
+        draws = (
+            random_gl(n, P, 900 + t),
+            random_gl(n, 3, 900 + t),
+            GenericMatrix(n, P, 0, np.triu(np.ones((n, n), dtype=np.int64))),
+        )
+        identity = GenericMatrix(n, P, 0, np.eye(n, dtype=np.int64))
+        for d in range(1, n + 1):
+            slice_d = ideal_degree_slice(cx, d)
+            if not 0 < len(slice_d) < binom(n, d):
+                continue
+            for phi in draws:
+                ideal = exterior._eliminate(slice_d, d, phi, on_faces=False)
+                assert exterior._eliminate(slice_d, d, phi, on_faces=True) == ideal
+                assert exterior._gin_degree(slice_d, d, phi) == ideal
+            assert exterior._eliminate(slice_d, d, identity, on_faces=True) == slice_d
+            compared[binom(n, d) - len(slice_d) < len(slice_d)] += 1
+    assert min(compared.values()) >= 100
+
+
+def test_gin_degree_eliminates_on_smaller_side(monkeypatch):
+    row_counts = []
+    real = exterior.phi_image_matrix
+
+    def recorded(rows, d, g, p):
+        row_counts.append(len(rows))
+        return real(rows, d, g, p)
+
+    monkeypatch.setattr(exterior, "phi_image_matrix", recorded)
+    cx = random_facet_complex(random.Random(13), 8)
+    phi = random_gl(8, P, 5)
+    expected = []
+    for d in range(1, 9):
+        slice_d = ideal_degree_slice(cx, d)
+        exterior._gin_degree(slice_d, d, phi)
+        if 0 < len(slice_d) < binom(8, d):
+            expected.append(min(len(slice_d), binom(8, d) - len(slice_d)))
+    assert row_counts == expected
+    assert any(n_faces < len(ideal_degree_slice(cx, d)) for d, n_faces in enumerate(f_vector(cx), 1))
+
+
+def test_gin_builds_each_slice_once(monkeypatch):
+    calls = []
+    real = complexes.ideal_degree_slice
+
+    def counted(cx, d):
+        calls.append(d)
+        return real(cx, d)
+
+    monkeypatch.setattr(complexes, "ideal_degree_slice", counted)
+    monkeypatch.setattr(exterior, "ideal_degree_slice", counted)
+    cx = random_facet_complex(random.Random(14), 7)
+    gin(cx, seed=3)
+    assert 0 < len(calls) <= cx.n
+
+
+def test_genericity_error_names_first_differing_degree(monkeypatch):
+    # every second draw is the identity, which leaves the slices unshifted
+    real = exterior.random_gl
+    draws = itertools.count()
+
+    def alternating(n, p, seed):
+        if next(draws) % 2:
+            return GenericMatrix(n, p, seed, np.eye(n, dtype=np.int64))
+        return real(n, p, seed)
+
+    monkeypatch.setattr(exterior, "random_gl", alternating)
+    pairs = [[i, j] for i in range(1, 6) for j in range(i + 1, 6)]
+    cx = from_facets(5, pairs + [[1, 2, 3]])  # first non-shifted slice: degree 3
+    with pytest.raises(exterior.GenericityError, match=r"per attempt: \[3, 3\]"):
+        gin(cx, seed=1, retries=2)
