@@ -6,7 +6,7 @@ candidates, labelled by which of two terminal blocks (A or B) each
 degree 3..8 carries; no label is all-A or all-B, and no Betti table
 among the 16 dominates, or is dominated by, all the others.
 
-Run:  python3 demos/04_fifteen_vertex_counterexample.py   (~15 s)
+Run:  python3 demos/04_fifteen_vertex_counterexample.py   (about 2 s)
 Add the generic-initial non-membership check (about 20 s more) with
 the CLI:  shiftlab section4 --phase negatives
 """

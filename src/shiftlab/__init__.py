@@ -16,6 +16,7 @@ from .complexes import (
     ideal_slices,
     is_shifted,
     m_leq,
+    m_leq_counts,
     minimal_nonfaces,
     restriction,
     to_json,
@@ -63,6 +64,7 @@ __all__ = [
     "is_shifted",
     "lex_compare",
     "m_leq",
+    "m_leq_counts",
     "m_leq_via_rank",
     "mask_of",
     "members_of",

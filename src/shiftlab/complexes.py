@@ -12,7 +12,9 @@ induced subcomplexes keep their original labels.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, Mapping
 
 from .faces import (
@@ -20,7 +22,6 @@ from .faces import (
     all_faces,
     degree,
     mask_of,
-    max_index,
     members_of,
     subsets_of,
 )
@@ -37,8 +38,7 @@ class SimplicialComplex:
     _facets: tuple[int, ...] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_GROUND_SET:
-            raise ValueError(f"ground-set size must be in 1..{MAX_GROUND_SET}")
+        _check_ground_set(self.n)
         if self.mode not in (STRICT, RELAXED):
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -74,11 +74,21 @@ def _closure(masks: Iterable[int]) -> frozenset[int]:
     return frozenset(closed)
 
 
-def _validate(n: int, faces: frozenset[int], mode: str) -> None:
+def _check_ground_set(n: int) -> None:
+    if not 1 <= n <= MAX_GROUND_SET:
+        raise ValueError(f"ground-set size must be in 1..{MAX_GROUND_SET}")
+
+
+def _check_within(n: int, masks: Iterable[int]) -> None:
+    _check_ground_set(n)
     full = (1 << n) - 1
-    for f in faces:
+    for f in masks:
         if f & ~full:
             raise ValueError(f"face {members_of(f)} not contained in [{n}]")
+
+
+def _validate(n: int, faces: frozenset[int], mode: str) -> None:
+    _check_within(n, faces)
     if 0 not in faces:
         raise ValueError("the empty face must be present")
     if mode == STRICT:
@@ -110,6 +120,8 @@ def from_facets(n: int, facets: Iterable, mode: str = STRICT) -> SimplicialCompl
     masks = []
     for f in facets:
         masks.append(f if isinstance(f, int) else mask_of(f))
+    # before the closure, which has 2^|facet| subsets per facet
+    _check_within(n, masks)
     faces = _closure(masks)
     _validate(n, faces, mode)
     return SimplicialComplex(n, faces, mode)
@@ -181,7 +193,7 @@ def ideal_degree_slice(cx: SimplicialComplex, d: int) -> frozenset[int]:
     """All d-subsets of [n] that are not faces: the degree-d part of I_Delta."""
     if not 0 <= d <= cx.n:
         raise ValueError("degree out of range")
-    return frozenset(m for m in all_faces(cx.n, d) if m not in cx.faces)
+    return frozenset(all_faces(cx.n, d)) - cx.faces
 
 
 def ideal_slices(cx: SimplicialComplex) -> dict[int, frozenset[int]]:
@@ -189,11 +201,22 @@ def ideal_slices(cx: SimplicialComplex) -> dict[int, frozenset[int]]:
     return {d: ideal_degree_slice(cx, d) for d in range(cx.n + 1)}
 
 
+def m_leq_counts(monomials: Iterable[int]) -> list[int]:
+    """All m_<= counts of one degree slice in a single pass.
+
+    c[i] is the number of monomials whose largest variable index
+    (``max_index``, the mask's bit length) is <= i, for i = 0 .. 64: a
+    histogram of largest indices, then a prefix sum.
+    """
+    hist = Counter(map(int.bit_length, monomials))
+    return list(accumulate(hist[k] for k in range(MAX_GROUND_SET + 1)))
+
+
 def m_leq(slices: Mapping[int, frozenset[int]], i: int, d: int) -> int:
     """Count degree-d ideal monomials whose largest variable index is <= i."""
-    if d not in slices:
+    if d not in slices or i < 0:
         return 0
-    return sum(1 for m in slices[d] if max_index(m) <= i)
+    return m_leq_counts(slices[d])[min(i, MAX_GROUND_SET)]
 
 
 # -- JSON interchange --------------------------------------------------------
@@ -211,12 +234,23 @@ def to_json(cx: SimplicialComplex) -> str:
     return json.dumps(to_json_dict(cx))
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def from_json_dict(doc: dict) -> SimplicialComplex:
-    faces = _closure(mask_of(f) for f in doc["facets"])
-    mode = doc.get("mode", STRICT)
-    n = doc["n"]
-    _validate(n, faces, mode)
-    return SimplicialComplex(n, faces, mode)
+    if not isinstance(doc, dict):
+        raise ValueError("a complex document must be a JSON object")
+    n = doc.get("n")
+    if not _is_int(n):
+        raise ValueError("'n' must be an integer")
+    facets = doc.get("facets")
+    if not (
+        isinstance(facets, list)
+        and all(isinstance(f, list) and all(map(_is_int, f)) for f in facets)
+    ):
+        raise ValueError("'facets' must be a list of lists of integers")
+    return from_facets(n, facets, doc.get("mode", STRICT))
 
 
 def from_json(text: str) -> SimplicialComplex:

@@ -44,7 +44,7 @@ from .complexes import (
     is_shifted,
     m_leq,
 )
-from .faces import binom, mask_of, members_of, revlex_key
+from .faces import all_faces, binom, members_of, revlex_key
 
 _ROW_BLOCK = 256
 
@@ -53,19 +53,20 @@ class GenericityError(RuntimeError):
     """Independent coordinate draws disagreed; p too small or draws unlucky."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GenericMatrix:
     """An invertible n x n matrix over GF(p) together with its seed.
 
     ``dual`` is the transpose of its inverse mod p, computed once here;
-    a singular matrix raises :class:`gfp.SingularMatrixError`.
+    a singular matrix raises :class:`gfp.SingularMatrixError`.  Equality
+    and hashing are by identity, since numpy arrays compare entrywise.
     """
 
     n: int
     p: int
     seed: int
     entries: np.ndarray
-    dual: np.ndarray = field(init=False, repr=False, compare=False)
+    dual: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=np.int64)
@@ -120,9 +121,9 @@ def _wedge_step(n: int, k: int):
 @lru_cache(maxsize=None)
 def revlex_column_order(n: int, d: int) -> tuple[tuple[int, ...], np.ndarray]:
     """Degree-d face masks sorted revlex-descending, plus the permutation
-    taking _combo_order positions to that order."""
-    combos = _combo_order(n, d)
-    masks = [mask_of(c) for c in combos]
+    taking lex positions (the order of all_faces and _combo_order) to
+    that order."""
+    masks = list(all_faces(n, d))
     order = sorted(range(len(masks)), key=lambda q: revlex_key(masks[q]))
     perm = np.asarray(order, dtype=np.intp)
     return tuple(masks[q] for q in order), perm
@@ -207,7 +208,7 @@ def _gin_nonfaces_once(slices: dict[int, frozenset[int]], phi: GenericMatrix) ->
 
 def _complex_from_nonfaces(n: int, nonfaces: dict[int, frozenset[int]]) -> SimplicialComplex:
     bad = set().union(*nonfaces.values()) if nonfaces else set()
-    faces = [m for d in range(n + 1) for m in map(mask_of, _combo_order(n, d)) if m not in bad]
+    faces = [m for d in range(n + 1) for m in all_faces(n, d) if m not in bad]
     return from_faces(n, faces, STRICT)
 
 

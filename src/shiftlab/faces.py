@@ -64,9 +64,12 @@ def subsets_of(mask: int):
 
 
 def all_faces(n: int, d: int):
-    """All d-subsets of [n] as masks, in ascending-tuple lex order."""
-    for combo in itertools.combinations(range(1, n + 1), d):
-        yield mask_of(combo)
+    """All d-subsets of [n] as masks, in ascending-tuple lex order.
+
+    Each mask is the sum of d distinct powers of two, taken in the
+    order itertools.combinations gives the vertices 1..n.
+    """
+    return map(sum, itertools.combinations([1 << v for v in range(n)], d))
 
 
 def lex_key(mask: int) -> tuple[int, ...]:

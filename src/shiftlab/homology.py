@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import gfp
-from .complexes import SimplicialComplex, ideal_slices, is_shifted, m_leq, restriction
+from .complexes import SimplicialComplex, ideal_slices, is_shifted, m_leq_counts, restriction
 from .faces import binom, degree, members_of
 
 BettiTable = dict[tuple[int, int], int]
@@ -101,15 +101,17 @@ def shifted_betti(cx: SimplicialComplex) -> BettiTable:
     if not is_shifted(cx):
         raise ValueError("shifted_betti requires a shifted complex")
     n = cx.n
+    # m[d][k] = m_<=k(I, d), one pass per degree slice
     slices = ideal_slices(cx)
+    m = [m_leq_counts(slices[d]) for d in range(n + 1)]
     table: BettiTable = {}
     for j in range(1, n + 1):
-        if not slices.get(j) and not slices.get(j - 1):
+        if not m[j][n] and not m[j - 1][n]:
             continue
         for i in range(0, n - j + 1):
-            val = m_leq(slices, n, j) * binom(n - j, i)
-            val -= sum(m_leq(slices, k, j) * binom(k - j, i - 1) for k in range(j, n))
-            val -= sum(m_leq(slices, k - 1, j - 1) * binom(k - j, i) for k in range(j, n + 1))
+            val = m[j][n] * binom(n - j, i)
+            val -= sum(m[j][k] * binom(k - j, i - 1) for k in range(j, n))
+            val -= sum(m[j - 1][k - 1] * binom(k - j, i) for k in range(j, n + 1))
             if val < 0:
                 raise AssertionError(f"negative Betti number at {(i, j)}: formula misuse")
             if val:

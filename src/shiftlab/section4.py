@@ -13,14 +13,15 @@ dominates or is dominated by all others.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from time import perf_counter
 
 from .complexes import (
     STRICT,
     SimplicialComplex,
     from_faces,
-    ideal_slices,
-    m_leq,
+    ideal_degree_slice,
+    m_leq_counts,
 )
 from .exterior import gin
 from .faces import all_faces, lex_key, mask_of
@@ -68,6 +69,7 @@ EXPECTED_QSEQUENCES: frozenset[QSequence] = frozenset(
 )
 
 
+@lru_cache(maxsize=None)
 def terminal_segment(d: int) -> frozenset[int]:
     """T_d: degree-d monomials strictly lex-greater than the threshold."""
     threshold = lex_key(mask_of(_H_PREFIX[d] + (12, 13)))
@@ -119,10 +121,9 @@ def _tail_pairs() -> list[tuple[int, int]]:
 
 def classify_complex(cx: SimplicialComplex, degrees=DEGREES) -> QSequence:
     """Read off which terminal block each degree slice carries."""
-    slices = ideal_slices(cx)
     labels = []
     for d in degrees:
-        extra = slices[d] - terminal_segment(d)
+        extra = ideal_degree_slice(cx, d) - terminal_segment(d)
         if extra == block_monomials(d, BLOCK_A):
             labels.append("A")
         elif extra == block_monomials(d, BLOCK_B):
@@ -203,15 +204,15 @@ def section4_negative_results(
         )
         if partner is None:
             continue
-        s_sharp = ideal_slices(classified[q])
-        s_flat = ideal_slices(classified[partner])
-        ok = m_leq(s_flat, 14, j) < m_leq(s_sharp, 14, j)
-        for i in range(1, N + 1):
-            if i == 14:
-                continue
-            ok = ok and m_leq(s_flat, i, j) == m_leq(s_sharp, i, j)
-            ok = ok and m_leq(s_flat, i, j - 1) == m_leq(s_sharp, i, j - 1)
-        ok = ok and m_leq(s_flat, 14, j - 1) == m_leq(s_sharp, 14, j - 1)
+        # m_<= counts in degrees j-1 and j: all equal except m_<=14 in degree j
+        sharp = [m_leq_counts(ideal_degree_slice(classified[q], d)) for d in (j - 1, j)]
+        flat = [m_leq_counts(ideal_degree_slice(classified[partner], d)) for d in (j - 1, j)]
+        ok = flat[1][14] < sharp[1][14] and all(
+            flat[k][i] == sharp[k][i]
+            for k in (0, 1)
+            for i in range(1, N + 1)
+            if (k, i) != (1, 14)
+        )
         if ok:
             witness_seen = True
             break

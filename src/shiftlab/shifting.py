@@ -26,21 +26,21 @@ def shift_ij(cx: SimplicialComplex, i: int, j: int) -> SimplicialComplex:
     """Apply the exchange operator C_ij to every face.
 
     C_ij(sigma) = (sigma - i) + j when i is in sigma, j is not, and the
-    exchanged set is not already a face; otherwise sigma is kept.
+    exchanged set is not already a face; otherwise sigma is kept.  The
+    input itself is returned when no face moves.
     """
     if cx.mode != STRICT:
         raise ValueError("shifting requires a strict-mode complex")
     _check_pair(cx.n, i, j)
     bi, bj = 1 << (i - 1), 1 << (j - 1)
-    out = set()
-    for f in cx.faces:
-        if f & bi and not f & bj:
-            moved = (f & ~bi) | bj
-            out.add(moved if moved not in cx.faces else f)
-        else:
-            out.add(f)
+    flip = bi | bj
+    faces = cx.faces
+    moved = {f ^ flip for f in faces if f & flip == bi} - faces
+    if not moved:
+        return cx
+    out = (faces - {m ^ flip for m in moved}) | moved
     # downward closure is a theorem for C_ij; check it cheaply
-    if len(out) != len(cx.faces):
+    if len(out) != len(faces):
         raise AssertionError("C_ij must be injective on faces")
     return SimplicialComplex(cx.n, frozenset(out), STRICT)
 

@@ -63,3 +63,16 @@ def brute_is_shifted(cx: SimplicialComplex) -> bool:
                 if mask_of(repl) not in cx.faces:
                     return False
     return True
+
+
+def brute_shift_ij(cx: SimplicialComplex, i: int, j: int) -> SimplicialComplex:
+    """C_ij applied face by face: replace i by j unless the image is a face."""
+    bi, bj = 1 << (i - 1), 1 << (j - 1)
+    out = set()
+    for f in cx.faces:
+        if f & bi and not f & bj:
+            moved = (f & ~bi) | bj
+            out.add(moved if moved not in cx.faces else f)
+        else:
+            out.add(f)
+    return SimplicialComplex(cx.n, frozenset(out), STRICT)

@@ -57,6 +57,25 @@ def test_bad_field_or_retries_exit_2(cycle_path, command, flags, capsys):
         assert f"field size {flags[1]} is not a prime" in out.err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n": "4", "facets": [[1, 2]]},
+        [1, 2],
+        {"n": 4, "facets": [["a"]]},
+        {"n": 10**30, "facets": [[1]]},
+    ],
+    ids=["string-n", "top-level-list", "string-vertex", "huge-n"],
+)
+def test_malformed_complex_exit_2(tmp_path, doc, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["fvector", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert len(out.err.splitlines()) == 1 and out.err.startswith("shiftlab: error:")
+
+
 def test_shift_command_pairs(path_graph_path, capsys):
     assert main(["shift", path_graph_path, "--pairs", "2,3"]) == 0
     doc = json.loads(capsys.readouterr().out)

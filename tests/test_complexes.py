@@ -12,13 +12,17 @@ from shiftlab import (
     ideal_slices,
     is_shifted,
     m_leq,
+    m_leq_counts,
     mask_of,
     members_of,
     minimal_nonfaces,
     restriction,
     to_json,
 )
+from shiftlab import complexes
 from shiftlab.complexes import RELAXED, STRICT
+from shiftlab.faces import max_index
+from shiftlab.verify import random_complex
 
 from support import all_strict_complexes, brute_is_shifted
 
@@ -48,6 +52,16 @@ def test_strict_mode_missing_singleton():
 def test_facet_out_of_range():
     with pytest.raises(ValueError):
         from_facets(3, [[1, 4]])
+
+
+def test_facet_outside_ground_set_refused_before_closure(monkeypatch):
+    # the closure of a 40-vertex facet would have 2^40 faces
+    def no_closure(masks):
+        raise AssertionError("closure built before the ground-set check")
+
+    monkeypatch.setattr(complexes, "_closure", no_closure)
+    with pytest.raises(ValueError, match="not contained in"):
+        from_facets(3, [list(range(1, 41))])
 
 
 def test_from_faces_rejects_open_family():
@@ -109,6 +123,24 @@ def test_m_leq_example():
     assert m_leq(slices, 3, 2) == 2
     assert m_leq(slices, 4, 2) == 2
     assert m_leq(slices, 1, 2) == 0  # i < d
+
+
+def test_m_leq_counts_match_direct_count():
+    corpus = list(all_strict_complexes(4))
+    corpus += [random_complex(n, density, seed) for n in (6, 8, 9)
+               for density in (0.1, 0.4) for seed in range(3)]
+    for cx in corpus:
+        slices = ideal_slices(cx)
+        for d in range(cx.n + 2):  # d = n + 1 is a missing degree
+            s = slices.get(d, frozenset())
+            counts = m_leq_counts(s)
+            for i in range(-1, cx.n + 2):
+                want = sum(1 for m in s if max_index(m) <= i)
+                assert m_leq(slices, i, d) == want
+                if i >= 0:
+                    assert counts[i] == want
+    assert m_leq({}, 3, 2) == 0
+    assert m_leq_counts([]) == [0] * 65
 
 
 def test_subset_count_identity():

@@ -46,6 +46,14 @@ def test_random_gl_basics():
     assert np.array_equal(big.entries @ big.dual.T % P, np.eye(15))
 
 
+def test_generic_matrix_compares_by_identity():
+    a = random_gl(3, P, 1)
+    b = random_gl(3, P, 1)
+    assert a == a and not a != a and hash(a) == hash(a)
+    assert (a == b) is False and (a != b) is True
+    assert len({a, b}) == 2
+
+
 def test_phi_image_identity_is_permutation():
     cx = from_facets(3, [[1, 2], [2, 3]])
     ident = GenericMatrix(3, P, 0, np.eye(3, dtype=np.int64))

@@ -30,6 +30,13 @@ def test_binom_conventions():
     assert binom(5, 2) == 10
 
 
+def test_all_faces_matches_vertex_tuples():
+    for n in range(10):
+        for d in range(n + 2):
+            want = [mask_of(c) for c in itertools.combinations(range(1, n + 1), d)]
+            assert list(all_faces(n, d)) == want
+
+
 def test_subsets_of():
     subs = set(subsets_of(mask_of([1, 3])))
     assert subs == {0, mask_of([1]), mask_of([3]), mask_of([1, 3])}

@@ -19,7 +19,7 @@ from shiftlab import (
 from shiftlab.complexes import RELAXED, SimplicialComplex
 from shiftlab.verify import random_complex
 
-from support import all_strict_complexes
+from support import all_strict_complexes, brute_shift_ij
 
 
 def facet_sets(cx):
@@ -41,6 +41,18 @@ def test_shift_fixes_shifted():
 def test_shift_4cycle_identity():
     cyc = from_facets(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
     assert shift_ij(cyc, 1, 3).faces == cyc.faces
+
+
+def test_shift_ij_matches_face_by_face_oracle():
+    """Every pair on every strict complex with n <= 5 (7,020 at n = 5)."""
+    for n in range(2, 6):
+        pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+        for cx in all_strict_complexes(n):
+            for i, j in pairs:
+                got = shift_ij(cx, i, j)
+                assert got == brute_shift_ij(cx, i, j)
+                if got.faces == cx.faces:
+                    assert got is cx
 
 
 def test_shift_pair_range():
