@@ -14,6 +14,7 @@ import sys
 
 from . import section4 as s4
 from .complexes import (
+    ShiftlabError,
     f_vector,
     from_json,
     ideal_slices,
@@ -185,7 +186,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, ShiftlabError) as exc:
         print(f"shiftlab: error: {exc}", file=sys.stderr)
         return 2
 

@@ -30,6 +30,11 @@ STRICT = "strict"
 RELAXED = "relaxed"
 
 
+class ShiftlabError(RuntimeError):
+    """A computation gave up: a search or step limit was passed, or
+    independent random draws kept disagreeing."""
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
     n: int
@@ -83,6 +88,9 @@ def _check_within(n: int, masks: Iterable[int]) -> None:
     _check_ground_set(n)
     full = (1 << n) - 1
     for f in masks:
+        if f < 0:
+            # members_of never ends on a negative mask
+            raise ValueError(f"face mask {f} not contained in [{n}]")
         if f & ~full:
             raise ValueError(f"face {members_of(f)} not contained in [{n}]")
 

@@ -3,10 +3,13 @@
 The generic initial ideal of the exterior face ideal is extracted
 degree by degree: apply a random invertible change of coordinates, take
 the matrix of the image of the degree-d slice in the monomial basis of
-the d-th exterior power (columns sorted revlex-descending), and
-row-reduce.  A monomial is in the generic initial ideal exactly when
-its column carries a pivot, and the rank of any revlex-upper column
-prefix yields the m_<= statistics directly.
+the d-th exterior power, and row-reduce.  The columns are sorted
+revlex-descending, which on one degree layer is ascending mask order:
+a >_rev b iff the largest element of a ^ b lies in b, iff a < b as
+integers.  A monomial is in the generic initial ideal exactly when its
+column carries a pivot, and the rank of any column prefix yields the
+m_<= statistics directly: the masks below 2^i are the monomials with
+largest index <= i.
 
 The same pivot set can be read from the faces (Kalai, "Algebraic
 shifting", 2002).  The images of the d-faces of the complex under the
@@ -27,7 +30,6 @@ minors)/p per draw.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
@@ -37,6 +39,7 @@ import numpy as np
 from . import gfp
 from .complexes import (
     STRICT,
+    ShiftlabError,
     SimplicialComplex,
     f_vector,
     from_faces,
@@ -44,12 +47,12 @@ from .complexes import (
     is_shifted,
     m_leq,
 )
-from .faces import all_faces, binom, members_of, revlex_key
+from .faces import all_faces, binom, members_of
 
 _ROW_BLOCK = 256
 
 
-class GenericityError(RuntimeError):
+class GenericityError(ShiftlabError):
     """Independent coordinate draws disagreed; p too small or draws unlucky."""
 
 
@@ -87,26 +90,25 @@ def random_gl(n: int, p: int, seed: int) -> GenericMatrix:
 
 
 @lru_cache(maxsize=None)
-def _combo_order(n: int, d: int) -> tuple[tuple[int, ...], ...]:
-    """Degree-d supports as sorted tuples, in itertools (lex) order."""
-    return tuple(itertools.combinations(range(1, n + 1), d))
+def revlex_column_order(n: int, d: int) -> tuple[int, ...]:
+    """Degree-d face masks sorted revlex-descending, i.e. ascending."""
+    return tuple(sorted(all_faces(n, d)))
 
 
 @lru_cache(maxsize=None)
 def _wedge_step(n: int, k: int):
     """Scatter tables for one wedge step from degree k to k+1.
 
-    For each (k+1)-combo c' (in _combo_order) and each position q of an
+    For each (k+1)-subset c' (in column order) and each position q of an
     element e in c', the contribution is sign * cur[c' - e] * row[e],
     sign = (-1)^(k - q).  Returns (old_idx, elem_idx, sign, offsets)
-    where entries are grouped per target combo for np.add.reduceat.
+    where entries are grouped per target subset for np.add.reduceat.
     """
-    small = {c: idx for idx, c in enumerate(_combo_order(n, k))}
+    small = {m: idx for idx, m in enumerate(revlex_column_order(n, k))}
     old_idx, elem_idx, signs = [], [], []
-    for combo in _combo_order(n, k + 1):
-        for q, e in enumerate(combo):
-            rest = combo[:q] + combo[q + 1 :]
-            old_idx.append(small[rest])
+    for mask in revlex_column_order(n, k + 1):
+        for q, e in enumerate(members_of(mask)):
+            old_idx.append(small[mask ^ (1 << (e - 1))])
             elem_idx.append(e - 1)
             signs.append((-1) ** (k - q))
     offsets = np.arange(0, len(old_idx), k + 1)
@@ -116,17 +118,6 @@ def _wedge_step(n: int, k: int):
         np.asarray(signs, dtype=np.float64),
         offsets,
     )
-
-
-@lru_cache(maxsize=None)
-def revlex_column_order(n: int, d: int) -> tuple[tuple[int, ...], np.ndarray]:
-    """Degree-d face masks sorted revlex-descending, plus the permutation
-    taking lex positions (the order of all_faces and _combo_order) to
-    that order."""
-    masks = list(all_faces(n, d))
-    order = sorted(range(len(masks)), key=lambda q: revlex_key(masks[q]))
-    perm = np.asarray(order, dtype=np.intp)
-    return tuple(masks[q] for q in order), perm
 
 
 def phi_image_matrix(
@@ -142,13 +133,13 @@ def phi_image_matrix(
     n = g.shape[0]
     if not 1 <= d <= n:
         raise ValueError("degree out of range")
-    col_masks, perm = revlex_column_order(n, d)
+    col_masks = revlex_column_order(n, d)
     if not rows:
         return np.zeros((0, len(col_masks)), dtype=np.int64), col_masks
 
     G = (g % p).astype(np.float64)
     sigmas = np.asarray([members_of(m) for m in rows], dtype=np.intp)
-    rows_out = np.empty((len(rows), len(col_masks)), dtype=np.float64)
+    rows_out = np.empty((len(rows), len(col_masks)), dtype=np.int64)
 
     for lo in range(0, len(rows), _ROW_BLOCK):
         hi = min(lo + _ROW_BLOCK, len(rows))
@@ -161,8 +152,7 @@ def phi_image_matrix(
             cur = np.add.reduceat(contrib, offsets, axis=1) % p
         rows_out[lo:hi] = cur
 
-    M = rows_out[:, perm]
-    return M.astype(np.int64), col_masks
+    return rows_out, col_masks
 
 
 def _eliminate(slice_d: frozenset[int], d: int, phi: GenericMatrix, on_faces: bool) -> frozenset[int]:
@@ -176,7 +166,7 @@ def _eliminate(slice_d: frozenset[int], d: int, phi: GenericMatrix, on_faces: bo
     reversed column order are exactly the columns that carry no
     ideal-side pivot, for every draw.
     """
-    col_masks, _ = revlex_column_order(phi.n, d)
+    col_masks = revlex_column_order(phi.n, d)
     rows = [m for m in col_masks if (m in slice_d) != on_faces]
     M, cols = phi_image_matrix(rows, d, phi.dual if on_faces else phi.entries, phi.p)
     if on_faces:
@@ -251,11 +241,11 @@ def m_leq_via_rank(
 ) -> int:
     """m_<=i of the generic initial ideal in degree d, by a rank computation.
 
-    The columns revlex-above the window face {i-d+1, ..., i} are exactly
-    those with largest index <= i, i.e. the first C(i,d) columns of the
-    revlex-descending order; the rank of that prefix equals the number
-    of pivots falling inside it, which is what m_leq counts on the
-    single-draw degree-d result.
+    The monomials with largest index <= i are the masks below 2^i, i.e.
+    the first C(i,d) columns of the ascending-mask (revlex-descending)
+    order; the rank of that prefix equals the number of pivots falling
+    inside it, which is what m_leq counts on the single-draw degree-d
+    result.
     """
     if not 1 <= d <= cx.n:
         raise ValueError("degree out of range")

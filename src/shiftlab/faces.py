@@ -4,6 +4,11 @@ A face is a subset of [n] = {1, ..., n} stored as an integer bitmask:
 vertex v occupies bit v-1.  The same mask doubles as the squarefree
 monomial x_sigma (or e_sigma) supported on the face.  Ground sets are
 capped at 64 vertices.
+
+Both orders compare monomials of one degree with x_1 > ... > x_n.  Lex
+is decided by the lowest bit of a ^ b, and ``all_faces`` lists a layer
+lex-descending.  Revlex is decided by the highest bit of a ^ b, so
+revlex-descending order is ascending integer order of the masks.
 """
 
 from __future__ import annotations
@@ -64,30 +69,13 @@ def subsets_of(mask: int):
 
 
 def all_faces(n: int, d: int):
-    """All d-subsets of [n] as masks, in ascending-tuple lex order.
+    """All d-subsets of [n] as masks, in ascending-tuple order.
 
+    That is lex-descending monomial order: x_{1,2} comes before x_{1,3}.
     Each mask is the sum of d distinct powers of two, taken in the
     order itertools.combinations gives the vertices 1..n.
     """
     return map(sum, itertools.combinations([1 << v for v in range(n)], d))
-
-
-def lex_key(mask: int) -> tuple[int, ...]:
-    """Sort key under which ascending order is lex-descending monomial order.
-
-    x_{1,2} comes before x_{1,3}: smaller key means lex-GREATER monomial.
-    Only meaningful within one degree layer.
-    """
-    return members_of(mask)
-
-
-def revlex_key(mask: int) -> tuple[int, ...]:
-    """Sort key under which ascending order is revlex-descending order.
-
-    Keys are the face members sorted descending; smaller key means
-    revlex-GREATER monomial.  Only meaningful within one degree layer.
-    """
-    return tuple(sorted(members_of(mask), reverse=True))
 
 
 def _check_same_degree(a: int, b: int) -> None:
@@ -99,21 +87,21 @@ def lex_compare(a: int, b: int) -> int:
     """Lex order: +1 if a > b, -1 if a < b, 0 if equal.
 
     a >_lex b iff the smallest element of the symmetric difference lies
-    in a.
+    in a, i.e. iff a holds the lowest set bit of a ^ b.
     """
     _check_same_degree(a, b)
-    if a == b:
+    diff = a ^ b
+    if not diff:
         return 0
-    return 1 if lex_key(a) < lex_key(b) else -1
+    return 1 if a & diff & -diff else -1
 
 
 def revlex_compare(a: int, b: int) -> int:
     """Reverse lex order: +1 if a > b, -1 if a < b, 0 if equal.
 
     a >_rev b iff the largest element of the symmetric difference lies
-    in b.
+    in b, i.e. iff b holds the highest set bit of a ^ b, which is
+    a < b as integers.
     """
     _check_same_degree(a, b)
-    if a == b:
-        return 0
-    return 1 if revlex_key(a) < revlex_key(b) else -1
+    return (a < b) - (a > b)

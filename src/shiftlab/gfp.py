@@ -36,54 +36,47 @@ def check_field(p: int) -> None:
 def pivot_columns(mat, p: int) -> list[int]:
     """Pivot columns of ``mat`` under left-to-right elimination mod p.
 
-    Uses delayed ("panel") updates: eliminations are accumulated as a
-    rank-k correction F @ R and applied to single columns on demand,
-    flushing to the whole trailing matrix via one matrix product every
-    _PANEL pivots.  Exactness: entries are below p, so a panel update
-    adds at most _PANEL products each at most (p-1)**2 to a value below
-    p, which check_field keeps below 2**53.
+    Uses delayed ("panel") updates: pivot k writes column k of F and
+    row k of R, the rank-k correction F @ R is applied to single columns
+    and rows on demand, and the whole trailing matrix is updated by one
+    matrix product when the panel of w = min(_PANEL, m) pivots is full.
+    Exactness: entries are below p, so a panel update adds at most
+    _PANEL products each at most (p-1)**2 to a value below p, which
+    check_field keeps below 2**53.
     """
     check_field(p)
     M = np.ascontiguousarray(np.asarray(mat, dtype=np.float64) % p)
     m, nc = M.shape
     if m == 0 or nc == 0:
         return []
+    w = min(_PANEL, m)
+    F = np.zeros((m, w))
+    R = np.zeros((w, nc))
+    k = 0
     pivots: list[int] = []
     eligible = np.ones(m, dtype=bool)
-    fcols: list[np.ndarray] = []
-    rrows: list[np.ndarray] = []
-    F = np.zeros((m, 0))
-    R = np.zeros((0, nc))
 
     for c in range(nc):
         col = M[:, c]
-        if fcols:
-            col = col - F[:, : len(fcols)] @ R[: len(rrows), c]
-            col %= p
+        if k:
+            col = (col - F[:, :k] @ R[:k, c]) % p
         cand = np.nonzero(eligible & (col != 0))[0]
         if cand.size == 0:
             continue
         t = int(cand[0])
         pivots.append(c)
+        if len(pivots) == m:
+            # no row is left to pivot, and a panel of w = m needs no flush
+            break
         eligible[t] = False
-        row = M[t, :]
-        if rrows:
-            row = row - F[t, : len(fcols)] @ R[: len(rrows)]
-            row %= p
-        else:
-            row = row.copy()
-        inv = pow(int(col[t]), p - 2, p)
-        f = (col * inv) % p
-        f[~eligible] = 0.0
-        fcols.append(f)
-        rrows.append(row)
-        F = np.column_stack(fcols)
-        R = np.vstack(rrows)
-        if len(fcols) >= _PANEL:
+        R[k] = (M[t] - F[t, :k] @ R[:k]) % p if k else M[t]
+        # rows already pivoted are never read again, so their entries of F
+        # need no zeroing
+        F[:, k] = col * pow(int(col[t]), p - 2, p) % p
+        k += 1
+        if k == w:
             M = (M - F @ R) % p
-            fcols, rrows = [], []
-            F = np.zeros((m, 0))
-            R = np.zeros((0, nc))
+            k = 0
     return pivots
 
 

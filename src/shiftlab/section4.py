@@ -12,8 +12,8 @@ dominates or is dominated by all others.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from itertools import takewhile
 from time import perf_counter
 
 from .complexes import (
@@ -24,7 +24,7 @@ from .complexes import (
     m_leq_counts,
 )
 from .exterior import gin
-from .faces import all_faces, lex_key, mask_of
+from .faces import all_faces, mask_of
 from .homology import betti_leq, shifted_betti
 from .shifting import enumerate_shifted
 from .verify import VerificationReport
@@ -71,9 +71,10 @@ EXPECTED_QSEQUENCES: frozenset[QSequence] = frozenset(
 
 @lru_cache(maxsize=None)
 def terminal_segment(d: int) -> frozenset[int]:
-    """T_d: degree-d monomials strictly lex-greater than the threshold."""
-    threshold = lex_key(mask_of(_H_PREFIX[d] + (12, 13)))
-    return frozenset(m for m in all_faces(N, d) if lex_key(m) < threshold)
+    """T_d: degree-d monomials strictly lex-greater than the threshold,
+    the prefix of the lex-descending ``all_faces`` before it."""
+    threshold = mask_of(_H_PREFIX[d] + (12, 13))
+    return frozenset(takewhile(lambda m: m != threshold, all_faces(N, d)))
 
 
 def block_monomials(d: int, block) -> frozenset[int]:
@@ -133,9 +134,7 @@ def classify_complex(cx: SimplicialComplex, degrees=DEGREES) -> QSequence:
     return tuple(labels)
 
 
-def section4_enumerate_and_classify(
-    state_limit: int = 100_000, validate_restriction: bool = True
-) -> dict[QSequence, SimplicialComplex]:
+def section4_enumerate_and_classify() -> dict[QSequence, SimplicialComplex]:
     """All shifted complexes reachable from the construction, by Q-label.
 
     Only exchange pairs inside {12..15} act nontrivially; this is
@@ -143,15 +142,11 @@ def section4_enumerate_and_classify(
     and checking it agrees with the restricted one, after which the
     full complex is searched with the restricted pair set.
     """
-    if validate_restriction:
-        trunc = _truncated_build()
-        full_pairs = enumerate_shifted(trunc, state_limit)
-        tail_only = enumerate_shifted(trunc, state_limit, candidate_pairs=_tail_pairs())
-        if full_pairs != tail_only:
-            raise AssertionError("restricted pair set misses shifted states on the truncated variant")
+    trunc = _truncated_build()
+    if enumerate_shifted(trunc) != enumerate_shifted(trunc, candidate_pairs=_tail_pairs()):
+        raise AssertionError("restricted pair set misses shifted states on the truncated variant")
 
-    cx = section4_build()
-    shifted = enumerate_shifted(cx, state_limit, candidate_pairs=_tail_pairs())
+    shifted = enumerate_shifted(section4_build(), candidate_pairs=_tail_pairs())
     out: dict[QSequence, SimplicialComplex] = {}
     for s in shifted:
         q = classify_complex(s)
@@ -159,13 +154,6 @@ def section4_enumerate_and_classify(
     if len(out) != len(shifted):
         raise AssertionError("two shifted states share a Q-label")
     return out
-
-
-@dataclass
-class DominanceWitness:
-    sharp: QSequence
-    flat: QSequence
-    degree: int
 
 
 def section4_negative_results(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, Mapping
 
-from .complexes import STRICT, SimplicialComplex, is_shifted
+from .complexes import STRICT, ShiftlabError, SimplicialComplex, is_shifted
 
 ShiftSequence = tuple[tuple[int, int], ...]
 
@@ -49,63 +49,42 @@ def _all_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
 
 
+def _moves(faces: frozenset[int], i: int, j: int) -> bool:
+    """Whether C_ij changes the face set: some face holds i, not j, and
+    its exchanged image is not a face.  Stops at the first such face."""
+    bi = 1 << (i - 1)
+    flip = bi | 1 << (j - 1)
+    return any(f & flip == bi and f ^ flip not in faces for f in faces)
+
+
 def shift_to_shifted(
-    cx: SimplicialComplex,
-    strategy: str = "sweep",
-    seed: int = 0,
-    max_steps: int | None = None,
+    cx: SimplicialComplex, strategy: str = "sweep", seed: int = 0
 ) -> tuple[SimplicialComplex, ShiftSequence]:
     """Iterate shift_ij until the complex is shifted.
 
-    ``sweep`` scans pairs (i,j) in lexicographic order and restarts
-    after every change (deterministic).  ``random`` repeatedly applies
-    a seeded uniform choice among the pairs that currently change the
-    complex.  Returns the shifted complex and the replayable sequence.
+    Each step applies one of the pairs (i,j) whose C_ij changes the
+    complex: ``sweep`` takes the first in lexicographic order
+    (deterministic), ``random`` a seeded uniform choice among them.  No
+    pair changes the complex exactly when it is shifted, which ends the
+    loop.  Returns the shifted complex and the replayable sequence.
     """
     if cx.mode != STRICT:
         raise ValueError("shifting requires a strict-mode complex")
-    if max_steps is None:
-        max_steps = 10 * cx.n * cx.n * len(cx.faces)
+    if strategy not in ("sweep", "random"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    rng = random.Random(seed)
+    max_steps = 10 * cx.n * cx.n * len(cx.faces)
     pairs = _all_pairs(cx.n)
     seq: list[tuple[int, int]] = []
     cur = cx
-    steps = 0
-
-    if strategy == "sweep":
-        while not is_shifted(cur):
-            changed = False
-            for i, j in pairs:
-                nxt = shift_ij(cur, i, j)
-                steps += 1
-                if steps > max_steps:
-                    raise RuntimeError("shift iteration limit exceeded")
-                if nxt.faces != cur.faces:
-                    seq.append((i, j))
-                    cur = nxt
-                    changed = True
-                    break
-            if not changed:
-                break
-    elif strategy == "random":
-        rng = random.Random(seed)
-        while True:
-            moves = []
-            for i, j in pairs:
-                nxt = shift_ij(cur, i, j)
-                if nxt.faces != cur.faces:
-                    moves.append(((i, j), nxt))
-            if not moves:
-                break
-            (i, j), cur = moves[rng.randrange(len(moves))]
-            seq.append((i, j))
-            steps += 1
-            if steps > max_steps:
-                raise RuntimeError("shift iteration limit exceeded")
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-
+    while moving := [(i, j) for i, j in pairs if _moves(cur.faces, i, j)]:
+        if len(seq) >= max_steps:
+            raise ShiftlabError("shift iteration limit exceeded")
+        i, j = moving[0] if strategy == "sweep" else moving[rng.randrange(len(moving))]
+        cur = shift_ij(cur, i, j)
+        seq.append((i, j))
     if not is_shifted(cur):
-        raise RuntimeError("shift iteration limit exceeded")
+        raise AssertionError("no pair moves, yet the complex is not shifted")
     return cur, tuple(seq)
 
 
@@ -147,7 +126,7 @@ def enumerate_shifted(
                 if nxt.faces in visited:
                     continue
                 if len(visited) >= state_limit:
-                    raise RuntimeError("enumerate_shifted state limit exceeded")
+                    raise ShiftlabError("enumerate_shifted state limit exceeded")
                 visited.add(nxt.faces)
                 nxt_frontier.append(nxt)
                 if is_shifted(nxt):

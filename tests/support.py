@@ -2,8 +2,9 @@
 
 import functools
 import itertools
+import random
 
-from shiftlab import SimplicialComplex, from_faces, mask_of, members_of
+from shiftlab import SimplicialComplex, from_faces, is_shifted, mask_of, members_of, shift_ij
 from shiftlab.complexes import STRICT
 
 
@@ -76,3 +77,68 @@ def brute_shift_ij(cx: SimplicialComplex, i: int, j: int) -> SimplicialComplex:
         else:
             out.add(f)
     return SimplicialComplex(cx.n, frozenset(out), STRICT)
+
+
+def brute_shift_to_shifted(cx: SimplicialComplex, strategy: str = "sweep", seed: int = 0):
+    """One loop per strategy, each applying full C_ij shifts.
+
+    ``sweep`` scans the pairs in lexicographic order, applies the first
+    that changes the complex and restarts, until the complex is shifted;
+    ``random`` builds every pair's shift, collects those that change the
+    complex and applies a seeded uniform choice among them.
+    """
+    max_steps = 10 * cx.n * cx.n * len(cx.faces)
+    pairs = [(i, j) for i in range(1, cx.n) for j in range(i + 1, cx.n + 1)]
+    seq = []
+    cur = cx
+    steps = 0
+    if strategy == "sweep":
+        while not is_shifted(cur):
+            changed = False
+            for i, j in pairs:
+                nxt = shift_ij(cur, i, j)
+                steps += 1
+                if steps > max_steps:
+                    raise RuntimeError("shift iteration limit exceeded")
+                if nxt.faces != cur.faces:
+                    seq.append((i, j))
+                    cur = nxt
+                    changed = True
+                    break
+            if not changed:
+                break
+    else:
+        rng = random.Random(seed)
+        while True:
+            moves = []
+            for i, j in pairs:
+                nxt = shift_ij(cur, i, j)
+                if nxt.faces != cur.faces:
+                    moves.append(((i, j), nxt))
+            if not moves:
+                break
+            (i, j), cur = moves[rng.randrange(len(moves))]
+            seq.append((i, j))
+            steps += 1
+            if steps > max_steps:
+                raise RuntimeError("shift iteration limit exceeded")
+    return cur, tuple(seq)
+
+
+def brute_pivot_columns(rows, p):
+    """Left-to-right Gaussian elimination mod p on lists of integers.
+
+    A column carries a pivot exactly when it raises the rank of the
+    columns before it, whichever row is chosen to eliminate with.
+    """
+    rest = [[x % p for x in row] for row in rows]
+    pivots = []
+    for c in range(len(rest[0]) if rest else 0):
+        t = next((k for k, row in enumerate(rest) if row[c]), None)
+        if t is None:
+            continue
+        pivots.append(c)
+        top = rest.pop(t)
+        inv = pow(top[c], p - 2, p)
+        rest = [[(x - row[c] * inv * y) % p for x, y in zip(row, top)] for row in rest]
+    return pivots

@@ -99,6 +99,13 @@ def test_enumerate_command(path_graph_path, capsys):
     json.loads(lines[0])
 
 
+def test_enumerate_past_state_limit_exit_2(cycle_path, capsys):
+    assert main(["enumerate", cycle_path, "--limit", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("shiftlab: error:") and "state limit" in err
+    assert "Traceback" not in err
+
+
 def test_gin_command(path_graph_path, capsys):
     assert main(["gin", path_graph_path, "--seed", "3"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -64,6 +64,12 @@ def test_facet_outside_ground_set_refused_before_closure(monkeypatch):
         from_facets(3, [list(range(1, 41))])
 
 
+def test_negative_mask_refused():
+    # members_of(-1) would never end, so the message must not call it
+    with pytest.raises(ValueError, match="not contained in"):
+        from_facets(3, [-1])
+
+
 def test_from_faces_rejects_open_family():
     with pytest.raises(ValueError):
         from_faces(3, [mask_of([1]), mask_of([2]), mask_of([3]), mask_of([1, 2, 3])])

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from shiftlab import binom, lex_compare, mask_of, members_of, revlex_compare
-from shiftlab.faces import all_faces, degree, max_index, revlex_key, subsets_of
+from shiftlab.faces import all_faces, degree, max_index, subsets_of
 
 from support import brute_lex_greater, brute_revlex_greater
 
@@ -94,7 +94,8 @@ def test_revlex_threshold_window():
                     assert above == (max_index(tau) <= i)
 
 
-def test_revlex_key_sorts_by_max_blocks():
-    masks = sorted(all_faces(5, 2), key=revlex_key)
+def test_integer_order_sorts_by_max_blocks():
+    masks = sorted(all_faces(5, 2))
     maxes = [max_index(m) for m in masks]
     assert maxes == sorted(maxes)
+

@@ -19,7 +19,7 @@ from shiftlab import (
 from shiftlab.complexes import RELAXED, SimplicialComplex
 from shiftlab.verify import random_complex
 
-from support import all_strict_complexes, brute_shift_ij
+from support import all_strict_complexes, brute_shift_ij, brute_shift_to_shifted
 
 
 def facet_sets(cx):
@@ -83,6 +83,31 @@ def test_shift_to_shifted_path():
         assert f_vector(out) == (3, 2)
         assert facet_sets(out) == {(1, 3), (2, 3)}
         assert replay(cx, seq).faces == out.faces
+
+
+def test_shift_to_shifted_matches_per_strategy_loops():
+    # every strict complex with n <= 4, plus seeded ones with n = 6..9
+    rng = random.Random(5)
+    corpus = [cx for n in range(1, 5) for cx in all_strict_complexes(n)]
+    corpus += [
+        random_complex(n, rng.choice([0.05, 0.1, 0.2]), 1000 * n + t)
+        for n in range(6, 10)
+        for t in range(36)
+    ]
+    moved = 0
+    for k, cx in enumerate(corpus):
+        for strategy in ("sweep", "random"):
+            got = shift_to_shifted(cx, strategy, seed=k)
+            want = brute_shift_to_shifted(cx, strategy, seed=k)
+            assert got[1] == want[1]
+            assert got[0].faces == want[0].faces
+            moved += bool(got[1])
+    assert moved >= 100
+
+
+def test_shift_to_shifted_unknown_strategy():
+    with pytest.raises(ValueError, match="unknown strategy"):
+        shift_to_shifted(from_facets(3, [[1, 2], [3]]), "greedy")
 
 
 def test_replay_reproduces_random_strategy():
