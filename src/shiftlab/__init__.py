@@ -6,6 +6,7 @@ exterior generic initial ideals over GF(p).
 """
 
 from .complexes import (
+    ShiftlabError,
     SimplicialComplex,
     f_vector,
     from_facets,
@@ -21,7 +22,7 @@ from .complexes import (
     restriction,
     to_json,
 )
-from .exterior import GenericMatrix, gin, m_leq_via_rank, phi_image_matrix, random_gl
+from .exterior import GenericMatrix, GenericityError, gin, m_leq_via_rank, phi_image_matrix, random_gl
 from .faces import binom, lex_compare, mask_of, members_of, revlex_compare
 from .homology import (
     BettiTable,
@@ -45,6 +46,8 @@ __all__ = [
     "SimplicialComplex",
     "BettiTable",
     "GenericMatrix",
+    "GenericityError",
+    "ShiftlabError",
     "VerificationReport",
     "EXPECTED_QSEQUENCES",
     "binom",

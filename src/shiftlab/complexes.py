@@ -89,7 +89,6 @@ def _check_within(n: int, masks: Iterable[int]) -> None:
     full = (1 << n) - 1
     for f in masks:
         if f < 0:
-            # members_of never ends on a negative mask
             raise ValueError(f"face mask {f} not contained in [{n}]")
         if f & ~full:
             raise ValueError(f"face {members_of(f)} not contained in [{n}]")
@@ -262,4 +261,8 @@ def from_json_dict(doc: dict) -> SimplicialComplex:
 
 
 def from_json(text: str) -> SimplicialComplex:
-    return from_json_dict(json.loads(text))
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON document nested too deeply") from None
+    return from_json_dict(doc)

@@ -38,6 +38,8 @@ def mask_of(members) -> int:
 
 def members_of(mask: int) -> tuple[int, ...]:
     """Sorted tuple of vertices of a face mask."""
+    if mask < 0:
+        raise ValueError(f"negative face mask {mask}")
     out = []
     v = 1
     while mask:
@@ -60,6 +62,8 @@ def max_index(mask: int) -> int:
 
 def subsets_of(mask: int):
     """All submasks of a face mask, including 0 and the mask itself."""
+    if mask < 0:
+        raise ValueError(f"negative face mask {mask}")
     sub = mask
     while True:
         yield sub

@@ -156,66 +156,57 @@ def section4_enumerate_and_classify() -> dict[QSequence, SimplicialComplex]:
     return out
 
 
+def _witness_reproduced(classified: dict[QSequence, SimplicialComplex]) -> bool:
+    """The proof's witness: a label of leading B's with its first A in
+    degree j loses the m_<=14 count in degree j against a label with B
+    in degrees j-1 and j, and every other m_<= count of degrees j-1 and
+    j is equal."""
+    qs = sorted(classified)
+    for q in qs:
+        k = next((k for k, lab in enumerate(q) if lab == "A"), 0)  # label k is degree k + 3
+        if not k:
+            continue
+        partner = next((r for r in qs if r[k - 1 : k + 1] == ("B", "B")), None)
+        if partner is None:
+            continue
+        sharp = [m_leq_counts(ideal_degree_slice(classified[q], d)) for d in (k + 2, k + 3)]
+        flat = [m_leq_counts(ideal_degree_slice(classified[partner], d)) for d in (k + 2, k + 3)]
+        if flat[1][14] < sharp[1][14] and all(
+            flat[e][i] == sharp[e][i] for e in (0, 1) for i in range(1, N + 1) if (e, i) != (1, 14)
+        ):
+            return True
+    return False
+
+
 def section4_negative_results(
+    classified: dict[QSequence, SimplicialComplex],
     p: int = 32003,
     seed: int = 1,
     include_gin: bool = True,
-    classified: dict[QSequence, SimplicialComplex] | None = None,
 ) -> VerificationReport:
-    """No maximal or minimal Betti table among the shifted results, and
-    (optionally, slow) the generic initial complex is not among them."""
+    """No maximal or minimal Betti table among the shifted results, the
+    m_<=14 witness, and (optionally, slow) the generic initial complex
+    is not among them.  ``classified`` is the result of
+    ``section4_enumerate_and_classify``."""
     t0 = perf_counter()
-    report = VerificationReport(trials=0)
-    if classified is None:
-        classified = section4_enumerate_and_classify()
+    report = VerificationReport()
     tables = {q: shifted_betti(cx) for q, cx in classified.items()}
-    qs = sorted(tables)
-
-    for q in qs:
+    for q in sorted(tables):
         report.trials += 1
-        if all(betti_leq(tables[r], tables[q]) for r in qs):
-            report.add_failure(seed=seed, pairs=[], cell=None, lhs=str(q), rhs="dominates all")
-        if all(betti_leq(tables[q], tables[r]) for r in qs):
-            report.add_failure(seed=seed, pairs=[], cell=None, lhs=str(q), rhs="dominated by all")
+        if all(betti_leq(t, tables[q]) for t in tables.values()):
+            report.fail("maximal table", "".join(q))
+        if all(betti_leq(tables[q], t) for t in tables.values()):
+            report.fail("minimal table", "".join(q))
 
-    # the proof's witness: a candidate maximal table with leading B's and
-    # first A in degree j loses the m_<=14 count in degree j against the
-    # table with B in degrees j-1 and j
-    witness_seen = False
-    for q in qs:
-        first_a = next((k for k, lab in enumerate(q) if lab == "A"), None)
-        if first_a is None or first_a == 0 or any(lab != "B" for lab in q[:first_a]):
-            continue
-        j = first_a + 3
-        partner = next(
-            (r for r in qs if r[first_a - 1] == "B" and r[first_a] == "B"), None
-        )
-        if partner is None:
-            continue
-        # m_<= counts in degrees j-1 and j: all equal except m_<=14 in degree j
-        sharp = [m_leq_counts(ideal_degree_slice(classified[q], d)) for d in (j - 1, j)]
-        flat = [m_leq_counts(ideal_degree_slice(classified[partner], d)) for d in (j - 1, j)]
-        ok = flat[1][14] < sharp[1][14] and all(
-            flat[k][i] == sharp[k][i]
-            for k in (0, 1)
-            for i in range(1, N + 1)
-            if (k, i) != (1, 14)
-        )
-        if ok:
-            witness_seen = True
-            break
     report.trials += 1
-    if not witness_seen:
-        report.add_failure(seed=seed, pairs=[], cell=None, lhs="m_<=14 witness", rhs="not reproduced")
+    if not _witness_reproduced(classified):
+        report.fail("m_<=14 witness", "not reproduced")
 
     if include_gin:
         report.trials += 1
-        shifted_faces = {cx.faces for cx in classified.values()}
-        gin_cx = gin(section4_build(), p=p, seed=seed)
-        if gin_cx.faces in shifted_faces:
-            report.add_failure(
-                seed=seed, pairs=[], cell=None,
-                lhs="gin", rhs="coincides with a combinatorially shifted complex",
-            )
+        gin_faces = gin(section4_build(), p=p, seed=seed).faces
+        for q, cx in sorted(classified.items()):
+            if cx.faces == gin_faces:
+                report.fail("gin not a combinatorial shift", "".join(q), seed=seed)
     report.elapsed_ms = (perf_counter() - t0) * 1000.0
     return report

@@ -2,8 +2,9 @@
 
 Every check compares two independently computed quantities (homology
 sums vs. the closed formula, rank statistics vs. combinatorial counts)
-entrywise with zero tolerance; violations are collected in a report
-rather than raised.
+entrywise with zero tolerance.  A check is a function from a complex
+and its companions to a list of failure details, empty when it holds;
+violations are collected in a report rather than raised.
 """
 
 from __future__ import annotations
@@ -24,64 +25,32 @@ from .complexes import (
     m_leq_counts,
 )
 from .exterior import gin
-from .homology import betti_leq, hochster_betti, shifted_betti
+from .homology import BettiTable, betti_leq, hochster_betti, shifted_betti
 from .lexsegment import delta_lex
 from .shifting import replay, shift_ij, shift_to_shifted
 
 
 @dataclass
-class Failure:
-    seed: int
-    pairs: list
-    cell: tuple | None
-    lhs: object
-    rhs: object
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "pairs": [list(p) for p in self.pairs],
-            "cell": list(self.cell) if self.cell is not None else None,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-        }
-
-
-@dataclass
 class VerificationReport:
+    """Trials run and failures found.  Each failure is a JSON-ready
+    record ``{"check": name, "detail": ...}``, plus ``seed``,
+    ``strategy`` and ``pairs`` where the check has them."""
+
     trials: int = 0
-    failures: list[Failure] = field(default_factory=list)
+    failures: list[dict] = field(default_factory=list)
     elapsed_ms: float = 0.0
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
-    def add_failure(self, seed, pairs, cell, lhs, rhs) -> None:
-        self.failures.append(Failure(seed, list(pairs), cell, lhs, rhs))
+    def fail(self, check: str, detail="", **where) -> None:
+        self.failures.append({"check": check, "detail": detail, **where})
 
     def to_json(self) -> str:
         return json.dumps(
-            {
-                "trials": self.trials,
-                "failures": [f.to_dict() for f in self.failures],
-                "elapsed_ms": self.elapsed_ms,
-            }
+            {"trials": self.trials, "failures": self.failures, "elapsed_ms": self.elapsed_ms}
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "VerificationReport":
-        doc = json.loads(text)
-        rep = cls(trials=doc["trials"], elapsed_ms=doc["elapsed_ms"])
-        for f in doc["failures"]:
-            rep.add_failure(
-                f["seed"],
-                [tuple(p) for p in f["pairs"]],
-                tuple(f["cell"]) if f["cell"] is not None else None,
-                f["lhs"],
-                f["rhs"],
-            )
-        return rep
 
 
 def random_complex(n: int, density: float, seed: int) -> SimplicialComplex:
@@ -104,23 +73,46 @@ def random_complex(n: int, density: float, seed: int) -> SimplicialComplex:
     return from_facets(n, chosen, STRICT)
 
 
-def _check_axioms(report, cx, shifted_cx, seq, seed):
-    """S1-S3 plus the replayed-sequence flavor of S4 on a random subcomplex."""
-    if not is_shifted(shifted_cx):
-        report.add_failure(seed, seq, None, "S1", "result not shifted")
-    if is_shifted(cx) and (shifted_cx.faces != cx.faces or seq):
-        report.add_failure(seed, seq, None, "S2", "shifted complex moved")
-    if f_vector(shifted_cx) != f_vector(cx):
-        report.add_failure(seed, seq, None, "S3", (f_vector(cx), f_vector(shifted_cx)))
-    # S4 (single-sequence form): removing a facet and replaying the same
-    # pairs keeps the inclusion
-    rng = random.Random(seed ^ 0x5F5F)
-    closed_facets = [f for f in cx.facets() if f.bit_count() >= 2]
-    if closed_facets:
-        drop = closed_facets[rng.randrange(len(closed_facets))]
-        sub = SimplicialComplex(cx.n, frozenset(cx.faces - {drop}), STRICT)
-        if not replay(sub, seq).faces <= replay(cx, seq).faces:
-            report.add_failure(seed, seq, None, "S4", "replayed inclusion broken")
+def check_s1(shifted_cx: SimplicialComplex) -> list:
+    """S1: the result of shifting is shifted."""
+    return [] if is_shifted(shifted_cx) else ["result not shifted"]
+
+
+def check_s2(cx: SimplicialComplex, shifted_cx: SimplicialComplex, seq) -> list:
+    """S2: shifting leaves a shifted complex where it is."""
+    moved = is_shifted(cx) and (shifted_cx.faces != cx.faces or seq)
+    return ["shifted complex moved"] if moved else []
+
+
+def check_s3(cx: SimplicialComplex, shifted_cx: SimplicialComplex) -> list:
+    """S3: shifting keeps the f-vector; the detail is both f-vectors."""
+    before, after = f_vector(cx), f_vector(shifted_cx)
+    return [] if before == after else [[list(before), list(after)]]
+
+
+def check_s4(sub: SimplicialComplex, cx: SimplicialComplex, seq) -> list:
+    """S4, single-sequence form: replaying the pairs keeps sub inside cx."""
+    kept = replay(sub, seq).faces <= replay(cx, seq).faces
+    return [] if kept else ["replayed inclusion broken"]
+
+
+def check_betti_leq(lower: BettiTable, upper: BettiTable) -> list:
+    """Entrywise lower <= upper; the detail lists the cells [i, j] where
+    lower is larger."""
+    if betti_leq(lower, upper):
+        return []
+    return [[list(k) for k in sorted(lower) if lower[k] > upper.get(k, 0)]]
+
+
+def check_m_leq(e_counts: list, c_counts: list) -> list:
+    """m_<=(D^e) >= m_<=(D^c) over the ``m_leq_counts`` of degrees 0..n:
+    one detail [i, d] per cell where it fails."""
+    ns = range(1, len(c_counts))
+    return [[i, d] for d in ns for i in ns if e_counts[d][i] < c_counts[d][i]]
+
+
+def _m_leq_table(cx: SimplicialComplex) -> list:
+    return [m_leq_counts(s) for s in ideal_slices(cx).values()]
 
 
 def verify_theorems(
@@ -128,10 +120,11 @@ def verify_theorems(
 ) -> VerificationReport:
     """Check the Betti-number inequalities on a seeded random corpus.
 
-    Per trial: both shifting strategies, the Betti comparison of the
-    complex against its shifted and lexsegment companions, the exterior
-    vs. combinatorial comparison, the m_<= domination, the shifting
-    axioms, and a sampled single-step Betti monotonicity check.
+    Per trial: both shifting strategies, the shifting axioms S1-S4,
+    the Betti comparison of the complex against its shifted and
+    lexsegment companions, the exterior vs. combinatorial comparison,
+    the m_<= domination, and a sampled single-step Betti monotonicity
+    check.
     """
     t0 = perf_counter()
     report = VerificationReport()
@@ -147,34 +140,38 @@ def verify_theorems(
 
         gin_cx = gin(cx, p=p, seed=trial_seed)
         betti_gin = shifted_betti(gin_cx)
-        gin_counts = {d: m_leq_counts(s) for d, s in ideal_slices(gin_cx).items()}
+        gin_counts = _m_leq_table(gin_cx)
+        # S4 replays each sequence on cx minus one seeded facet of two or more vertices
+        closed = [f for f in cx.facets() if f.bit_count() >= 2]
+        pick = random.Random(trial_seed ^ 0x5F5F)
+        drop = {closed[pick.randrange(len(closed))]} if closed else set()
+        sub = SimplicialComplex(nn, cx.faces - drop, STRICT)
+
+        def record(check, details, **where):
+            for detail in details:
+                report.fail(check, detail, seed=trial_seed, **where)
 
         for strategy in ("sweep", "random"):
             shifted_cx, seq = shift_to_shifted(cx, strategy, seed=trial_seed)
-            _check_axioms(report, cx, shifted_cx, seq, trial_seed)
             betti_c = shifted_betti(shifted_cx)
-            if not betti_leq(betti, betti_c):
-                report.add_failure(trial_seed, seq, None, "beta(D) <= beta(D^c)", strategy)
-            if not betti_leq(betti_gin, betti_c):
-                report.add_failure(trial_seed, seq, None, "beta(D^e) <= beta(D^c)", strategy)
-            c_counts = {d: m_leq_counts(s) for d, s in ideal_slices(shifted_cx).items()}
-            for d in range(1, nn + 1):
-                for i in range(1, nn + 1):
-                    if gin_counts[d][i] < c_counts[d][i]:
-                        report.add_failure(
-                            trial_seed, seq, (i, d), "m_<=(D^e) >= m_<=(D^c)", strategy
-                        )
+            where = {"strategy": strategy, "pairs": [list(q) for q in seq]}
+            record("S1", check_s1(shifted_cx), **where)
+            record("S2", check_s2(cx, shifted_cx, seq), **where)
+            record("S3", check_s3(cx, shifted_cx), **where)
+            record("S4", check_s4(sub, cx, seq), **where)
+            record("beta(D) <= beta(D^c)", check_betti_leq(betti, betti_c), **where)
+            record("beta(D^e) <= beta(D^c)", check_betti_leq(betti_gin, betti_c), **where)
+            c_counts = _m_leq_table(shifted_cx)
+            record("m_<=(D^e) >= m_<=(D^c)", check_m_leq(gin_counts, c_counts), **where)
 
-        lex_cx = delta_lex(f_vector(cx), nn)
-        if not betti_leq(betti, shifted_betti(lex_cx)):
-            report.add_failure(trial_seed, [], None, "beta(D) <= beta(D^lex)", "lex")
+        lex_betti = shifted_betti(delta_lex(f_vector(cx), nn))
+        record("beta(D) <= beta(D^lex)", check_betti_leq(betti, lex_betti))
 
         # single-step Betti monotonicity on a couple of sampled pairs
         for _ in range(2):
             i = trng.randint(1, nn - 1)
             j = trng.randint(i + 1, nn)
-            stepped = shift_ij(cx, i, j)
-            if not betti_leq(betti, hochster_betti(stepped, 2)):
-                report.add_failure(trial_seed, [(i, j)], None, "single-step beta", "")
+            stepped = hochster_betti(shift_ij(cx, i, j), 2)
+            record("single-step beta", check_betti_leq(betti, stepped), pairs=[[i, j]])
     report.elapsed_ms = (perf_counter() - t0) * 1000.0
     return report

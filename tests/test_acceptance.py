@@ -159,7 +159,7 @@ def test_criterion_8_no_extremal_betti_table():
         8,
         "no Betti table among the 16 dominates or is dominated by all; witness reproduced",
         report.passed,
-        detail=str([f.to_dict() for f in report.failures]),
+        detail=str(report.failures),
     )
 
 

@@ -64,12 +64,14 @@ def test_bad_field_or_retries_exit_2(cycle_path, command, flags, capsys):
         [1, 2],
         {"n": 4, "facets": [["a"]]},
         {"n": 10**30, "facets": [[1]]},
+        "[" * 200_000,
     ],
-    ids=["string-n", "top-level-list", "string-vertex", "huge-n"],
+    ids=["string-n", "top-level-list", "string-vertex", "huge-n", "deep-nesting"],
 )
 def test_malformed_complex_exit_2(tmp_path, doc, capsys):
+    # a str is written as raw text, anything else as its JSON document
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     assert main(["fvector", str(path)]) == 2
     out = capsys.readouterr()
     assert out.out == ""

@@ -306,3 +306,11 @@ def test_genericity_error_names_first_differing_degree(monkeypatch):
     cx = from_facets(5, pairs + [[1, 2, 3]])  # first non-shifted slice: degree 3
     with pytest.raises(exterior.GenericityError, match=r"per attempt: \[3, 3\]"):
         gin(cx, seed=1, retries=2)
+
+
+def test_errors_exported_from_the_package():
+    import shiftlab
+
+    assert issubclass(shiftlab.GenericityError, shiftlab.ShiftlabError)
+    assert shiftlab.GenericityError is exterior.GenericityError
+    assert {"GenericityError", "ShiftlabError"} <= set(shiftlab.__all__)

@@ -16,6 +16,16 @@ def test_mask_roundtrip():
     assert max_index(0) == 0
 
 
+def test_members_of_refuses_negative_mask():
+    with pytest.raises(ValueError, match="negative"):
+        members_of(-1)
+
+
+def test_subsets_of_refuses_negative_mask():
+    with pytest.raises(ValueError, match="negative"):
+        next(subsets_of(-1))
+
+
 def test_mask_range_check():
     with pytest.raises(ValueError):
         mask_of([0])

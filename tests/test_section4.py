@@ -72,4 +72,4 @@ def test_classify_rejects_other_complexes():
 
 def test_negative_results_pass():
     report = section4_negative_results(include_gin=False, classified=classified_section4())
-    assert report.passed, [f.to_dict() for f in report.failures]
+    assert report.passed, report.failures
