@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Mapping
 
@@ -40,7 +41,6 @@ class SimplicialComplex:
     n: int
     faces: frozenset[int]
     mode: str = STRICT
-    _facets: tuple[int, ...] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         _check_ground_set(self.n)
@@ -49,22 +49,32 @@ class SimplicialComplex:
 
     # -- structure ---------------------------------------------------------
 
+    @cached_property
+    def layers(self) -> tuple[tuple[int, ...], ...]:
+        """The faces by size: layers[k] holds the k-vertex faces in
+        ascending mask order, for k = 0 .. dim+1."""
+        by_size: list[list[int]] = [[] for _ in range(max(map(int.bit_count, self.faces)) + 1)]
+        for f in sorted(self.faces):
+            by_size[f.bit_count()].append(f)
+        return tuple(map(tuple, by_size))
+
     @property
     def dim(self) -> int:
         """Dimension: max face cardinality minus one (-1 for the empty complex)."""
-        return max(degree(f) for f in self.faces) - 1
+        return len(self.layers) - 2
 
-    def facets(self) -> tuple[int, ...]:
-        """Inclusion-maximal faces, sorted by (degree, members)."""
-        if self._facets is not None:
-            return self._facets
+    @cached_property
+    def _facets(self) -> tuple[int, ...]:
         out = [
             f
             for f in self.faces
             if not any((f | (1 << v)) in self.faces for v in range(self.n) if not f >> v & 1)
         ]
         out.sort(key=lambda m: (degree(m), members_of(m)))
-        object.__setattr__(self, "_facets", tuple(out))
+        return tuple(out)
+
+    def facets(self) -> tuple[int, ...]:
+        """Inclusion-maximal faces, sorted by (degree, members)."""
         return self._facets
 
     def __contains__(self, mask: int) -> bool:
@@ -134,6 +144,13 @@ def from_facets(n: int, facets: Iterable, mode: str = STRICT) -> SimplicialCompl
     return SimplicialComplex(n, faces, mode)
 
 
+def from_nonfaces(n: int, nonfaces: Iterable[int]) -> SimplicialComplex:
+    """The strict complex on [n] whose faces are all masks below 2^n
+    not in ``nonfaces``; the result is checked like :func:`from_faces`."""
+    bad = frozenset(nonfaces)
+    return from_faces(n, (m for m in range(1 << n) if m not in bad), STRICT)
+
+
 def full_simplex(n: int) -> SimplicialComplex:
     return from_facets(n, [(1 << n) - 1])
 
@@ -143,13 +160,7 @@ def full_simplex(n: int) -> SimplicialComplex:
 
 def f_vector(cx: SimplicialComplex) -> tuple[int, ...]:
     """(f_0, f_1, ...): f_i counts faces of cardinality i+1."""
-    counts: dict[int, int] = {}
-    for f in cx.faces:
-        d = degree(f)
-        if d:
-            counts[d] = counts.get(d, 0) + 1
-    top = max(counts, default=0)
-    return tuple(counts.get(d, 0) for d in range(1, top + 1))
+    return tuple(map(len, cx.layers[1:]))
 
 
 def restriction(cx: SimplicialComplex, w) -> SimplicialComplex:
@@ -183,16 +194,17 @@ def is_shifted(cx: SimplicialComplex) -> bool:
 
 
 def minimal_nonfaces(cx: SimplicialComplex) -> list[int]:
-    """Inclusion-minimal non-faces; the generators of I_Delta and J_Delta."""
+    """Inclusion-minimal non-faces; the generators of I_Delta and J_Delta.
+
+    Listed by (degree, members): ``all_faces`` gives each degree in that
+    order."""
     out = []
-    full = (1 << cx.n) - 1
     for d in range(1, cx.n + 1):
         for mask in all_faces(cx.n, d):
             if mask in cx.faces:
                 continue
             if all((mask & ~(1 << v)) in cx.faces for v in range(cx.n) if mask >> v & 1):
                 out.append(mask)
-    out.sort(key=lambda m: (degree(m), members_of(m)))
     return out
 
 
@@ -224,6 +236,12 @@ def m_leq(slices: Mapping[int, frozenset[int]], i: int, d: int) -> int:
     if d not in slices or i < 0:
         return 0
     return m_leq_counts(slices[d])[min(i, MAX_GROUND_SET)]
+
+
+def m_leq_table(cx: SimplicialComplex) -> list[list[int]]:
+    """table[d][i] = m_<=i(I_Delta, d): the ``m_leq_counts`` of every
+    degree slice, d = 0 .. n."""
+    return [m_leq_counts(s) for s in ideal_slices(cx).values()]
 
 
 # -- JSON interchange --------------------------------------------------------

@@ -42,7 +42,7 @@ from .complexes import (
     ShiftlabError,
     SimplicialComplex,
     f_vector,
-    from_faces,
+    from_nonfaces,
     ideal_degree_slice,
     is_shifted,
     m_leq,
@@ -196,12 +196,6 @@ def _gin_nonfaces_once(slices: dict[int, frozenset[int]], phi: GenericMatrix) ->
     return {d: _gin_degree(slice_d, d, phi) for d, slice_d in slices.items()}
 
 
-def _complex_from_nonfaces(n: int, nonfaces: dict[int, frozenset[int]]) -> SimplicialComplex:
-    bad = set().union(*nonfaces.values()) if nonfaces else set()
-    faces = [m for d in range(n + 1) for m in all_faces(n, d) if m not in bad]
-    return from_faces(n, faces, STRICT)
-
-
 def gin(cx: SimplicialComplex, p: int = 32003, seed: int = 1, retries: int = 3) -> SimplicialComplex:
     """The exterior algebraic shifted complex (generic initial complex).
 
@@ -223,7 +217,7 @@ def gin(cx: SimplicialComplex, p: int = 32003, seed: int = 1, retries: int = 3) 
         nf2 = _gin_nonfaces_once(slices, random_gl(cx.n, p, s2))
         differing = [d for d in slices if nf1[d] != nf2[d]]
         if not differing:
-            result = _complex_from_nonfaces(cx.n, nf1)
+            result = from_nonfaces(cx.n, set().union(*nf1.values()))
             if not is_shifted(result):
                 raise GenericityError("generic initial complex failed shiftedness check")
             if f_vector(result) != f_vector(cx):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import gfp
-from .complexes import SimplicialComplex, ideal_slices, is_shifted, m_leq_counts, restriction
+from .complexes import SimplicialComplex, is_shifted, m_leq_table, restriction
 from .faces import binom, degree, members_of
 
 BettiTable = dict[tuple[int, int], int]
@@ -26,21 +26,20 @@ def boundary_matrix(cx: SimplicialComplex, k: int, p: int) -> np.ndarray:
     """Matrix of the boundary map C_k -> C_{k-1} over GF(p).
 
     Rows are indexed by the sorted (k-1)-faces, columns by the sorted
-    k-faces (a k-face has k+1 vertices).  For k = 0 the target is the
-    augmentation: every vertex maps to the generator of C_{-1}.
+    k-faces (a k-face has k+1 vertices): ``cx.layers[k]`` and
+    ``cx.layers[k+1]``.  For k = 0 the rows are the empty face, so every
+    vertex maps to the generator of C_{-1} (the augmentation).
     """
+    gfp.check_field(p)
     if k < 0:
         raise ValueError("k must be nonnegative")
-    cols = sorted(f for f in cx.faces if degree(f) == k + 1)
-    if k == 0:
-        return np.ones((1, len(cols)), dtype=np.int64)
-    rows = sorted(f for f in cx.faces if degree(f) == k)
+    # layers past dim+1 are empty
+    rows, cols = (cx.layers[k : k + 2] + ((), ()))[:2]
     row_idx = {f: r for r, f in enumerate(rows)}
     M = np.zeros((len(rows), len(cols)), dtype=np.int64)
     for c, f in enumerate(cols):
         for pos, v in enumerate(members_of(f)):
-            sub = f & ~(1 << (v - 1))
-            M[row_idx[sub], c] = (-1) ** pos % p
+            M[row_idx[f & ~(1 << (v - 1))], c] = (-1) ** pos % p
     return M
 
 
@@ -50,21 +49,10 @@ def reduced_homology_dims(cx: SimplicialComplex, p: int) -> tuple[int, ...]:
     dim H~_k = nullity(d_k) - rank(d_{k+1}), with the reduced chain
     complex (C_{-1} = K spanned by the empty face).
     """
-    top = cx.dim
-    face_counts = [0] * (top + 2)
-    for f in cx.faces:
-        face_counts[degree(f)] += 1
-    # rank of d_k for k = 0 .. top+1 (d_{top+1} = 0)
-    ranks = [0] * (top + 3)
-    for k in range(top + 1):
-        B = boundary_matrix(cx, k, p)
-        ranks[k] = gfp.rank(B, p)
-    dims = []
-    for k in range(-1, top + 1):
-        n_k = face_counts[k + 1]  # dim C_k
-        rank_k = ranks[k] if k >= 0 else 0  # d_{-1} = 0
-        dims.append(n_k - rank_k - ranks[k + 1])
-    return tuple(dims)
+    layers = cx.layers  # dim C_{i-1} = len(layers[i])
+    # ranks[i] = rank of d_{i-1}, i = 0 .. dim+2; d_{-1} = d_{dim+1} = 0
+    ranks = [0] + [gfp.rank(boundary_matrix(cx, k, p), p) for k in range(len(layers) - 1)] + [0]
+    return tuple(len(layer) - ranks[i] - ranks[i + 1] for i, layer in enumerate(layers))
 
 
 def hochster_betti(cx: SimplicialComplex, p: int) -> BettiTable:
@@ -72,21 +60,23 @@ def hochster_betti(cx: SimplicialComplex, p: int) -> BettiTable:
 
     beta_{i,i+j} = sum over W of size i+j of dim H~_{j-2}(Delta_W).
     Each induced subcomplex is computed once and credited to every
-    (i, j) with i + j = |W|.
+    (i, j) with i + j = |W|.  A W that is a face is skipped: Delta_W is
+    then a simplex, with no reduced homology.
     """
+    gfp.check_field(p)
     if cx.mode != "strict":
         raise ValueError("Hochster's formula requires a strict-mode complex")
     table: BettiTable = {}
     for w in range(1, 1 << cx.n):
+        if w in cx.faces:
+            continue
         size = degree(w)
         dims = reduced_homology_dims(restriction(cx, w), p)
         for k, dim_k in enumerate(dims, start=-1):
             if dim_k == 0:
                 continue
             j = k + 2
-            i = size - j
-            if i < 0:
-                continue
+            i = size - j  # i >= 0: only a face W has a (|W|-1)-dimensional Delta_W
             table[(i, j)] = table.get((i, j), 0) + dim_k
     return table
 
@@ -101,9 +91,7 @@ def shifted_betti(cx: SimplicialComplex) -> BettiTable:
     if not is_shifted(cx):
         raise ValueError("shifted_betti requires a shifted complex")
     n = cx.n
-    # m[d][k] = m_<=k(I, d), one pass per degree slice
-    slices = ideal_slices(cx)
-    m = [m_leq_counts(slices[d]) for d in range(n + 1)]
+    m = m_leq_table(cx)  # m[d][k] = m_<=k(I, d)
     table: BettiTable = {}
     for j in range(1, n + 1):
         if not m[j][n] and not m[j - 1][n]:

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import itertools
 
-from .complexes import STRICT, SimplicialComplex, f_vector, from_faces, is_shifted
-from .faces import binom, mask_of
+from .complexes import SimplicialComplex, f_vector, from_nonfaces, is_shifted
+from .faces import all_faces, binom
 
 
 def delta_lex(f: tuple[int, ...], n: int) -> SimplicialComplex:
@@ -19,29 +19,22 @@ def delta_lex(f: tuple[int, ...], n: int) -> SimplicialComplex:
     ``f`` must be realizable (in practice it always comes from an
     actual complex); an unrealizable vector trips the closure check.
     """
-    faces = [0]
-    for d in range(1, n + 1):
-        f_count = f[d - 1] if d - 1 < len(f) else 0
-        n_nonfaces = binom(n, d) - f_count
-        if n_nonfaces < 0:
-            raise ValueError(f"f-vector entry f_{d-1}={f_count} exceeds C({n},{d})")
-        # itertools.combinations yields ascending tuples in lex order,
-        # which is exactly lex-descending monomial order: the first
-        # n_nonfaces subsets are the lex-greatest ones.
-        for combo in itertools.islice(itertools.combinations(range(1, n + 1), d), n_nonfaces, None):
-            faces.append(mask_of(combo))
+    if any(f[n:]):
+        raise ValueError(f"f-vector {f} has a nonzero entry past f_{n - 1}")
+    want = tuple(f[:n]) + (0,) * (n - len(f))
+    nonfaces = []
+    for d, f_count in enumerate(want, start=1):
+        if not 0 <= f_count <= binom(n, d):
+            raise ValueError(f"f-vector entry f_{d-1}={f_count} is outside 0..C({n},{d})")
+        # all_faces lists a layer lex-descending: its first masks are the lex-greatest
+        nonfaces.extend(itertools.islice(all_faces(n, d), binom(n, d) - f_count))
     try:
-        cx = from_faces(n, faces, STRICT)
+        cx = from_nonfaces(n, nonfaces)
     except ValueError as exc:
         raise ValueError(f"f-vector is not realizable by a lexsegment complex: {exc}") from exc
     if not is_shifted(cx):
         raise AssertionError("lexsegment complex must be shifted")
-    def norm(v):
-        v = list(v)
-        while v and v[-1] == 0:
-            v.pop()
-        return tuple(v)
-
-    if norm(f_vector(cx)) != norm(f):
-        raise AssertionError(f"f-vector mismatch: wanted {f}, built {f_vector(cx)}")
+    built = f_vector(cx)
+    if built + (0,) * (n - len(built)) != want:
+        raise AssertionError(f"f-vector mismatch: wanted {f}, built {built}")
     return cx

@@ -16,13 +16,7 @@ from functools import lru_cache
 from itertools import takewhile
 from time import perf_counter
 
-from .complexes import (
-    STRICT,
-    SimplicialComplex,
-    from_faces,
-    ideal_degree_slice,
-    m_leq_counts,
-)
+from .complexes import SimplicialComplex, from_nonfaces, ideal_degree_slice, m_leq_counts
 from .exterior import gin
 from .faces import all_faces, mask_of
 from .homology import betti_leq, shifted_betti
@@ -102,8 +96,7 @@ def _complex_from_blocks(blocks: dict[int, tuple], all_above: int) -> Simplicial
     nonfaces = set().union(*slices.values())
     for d in range(all_above, N + 1):
         nonfaces.update(all_faces(N, d))
-    faces = [m for d in range(N + 1) for m in all_faces(N, d) if m not in nonfaces]
-    return from_faces(N, faces, STRICT)
+    return from_nonfaces(N, nonfaces)
 
 
 def section4_build() -> SimplicialComplex:

@@ -20,14 +20,15 @@ from .complexes import (
     SimplicialComplex,
     f_vector,
     from_facets,
-    ideal_slices,
     is_shifted,
-    m_leq_counts,
+    m_leq_table,
 )
 from .exterior import gin
 from .homology import BettiTable, betti_leq, hochster_betti, shifted_betti
 from .lexsegment import delta_lex
 from .shifting import replay, shift_ij, shift_to_shifted
+
+_MAX_N = 20
 
 
 @dataclass
@@ -60,8 +61,8 @@ def random_complex(n: int, density: float, seed: int) -> SimplicialComplex:
     given inclusion probability and downward-closed; singletons are
     always present.
     """
-    if not 1 <= n <= 20:
-        raise ValueError("n must be in 1..20")
+    if not 1 <= n <= _MAX_N:
+        raise ValueError(f"n must be in 1..{_MAX_N}")
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must be a probability")
     rng = random.Random(seed)
@@ -111,10 +112,6 @@ def check_m_leq(e_counts: list, c_counts: list) -> list:
     return [[i, d] for d in ns for i in ns if e_counts[d][i] < c_counts[d][i]]
 
 
-def _m_leq_table(cx: SimplicialComplex) -> list:
-    return [m_leq_counts(s) for s in ideal_slices(cx).values()]
-
-
 def verify_theorems(
     n: int, trials: int, p: int = 32003, seed: int = 0
 ) -> VerificationReport:
@@ -124,8 +121,11 @@ def verify_theorems(
     the Betti comparison of the complex against its shifted and
     lexsegment companions, the exterior vs. combinatorial comparison,
     the m_<= domination, and a sampled single-step Betti monotonicity
-    check.
+    check.  Trial sizes are drawn from 2..max(2, n), so n above
+    _MAX_N is refused before the first trial.
     """
+    if n > _MAX_N:
+        raise ValueError(f"n must be at most {_MAX_N}")
     t0 = perf_counter()
     report = VerificationReport()
     rng = random.Random(seed)
@@ -140,7 +140,7 @@ def verify_theorems(
 
         gin_cx = gin(cx, p=p, seed=trial_seed)
         betti_gin = shifted_betti(gin_cx)
-        gin_counts = _m_leq_table(gin_cx)
+        gin_counts = m_leq_table(gin_cx)
         # S4 replays each sequence on cx minus one seeded facet of two or more vertices
         closed = [f for f in cx.facets() if f.bit_count() >= 2]
         pick = random.Random(trial_seed ^ 0x5F5F)
@@ -161,7 +161,7 @@ def verify_theorems(
             record("S4", check_s4(sub, cx, seq), **where)
             record("beta(D) <= beta(D^c)", check_betti_leq(betti, betti_c), **where)
             record("beta(D^e) <= beta(D^c)", check_betti_leq(betti_gin, betti_c), **where)
-            c_counts = _m_leq_table(shifted_cx)
+            c_counts = m_leq_table(shifted_cx)
             record("m_<=(D^e) >= m_<=(D^c)", check_m_leq(gin_counts, c_counts), **where)
 
         lex_betti = shifted_betti(delta_lex(f_vector(cx), nn))

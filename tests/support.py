@@ -4,7 +4,10 @@ import functools
 import itertools
 import random
 
+import numpy as np
+
 from shiftlab import SimplicialComplex, from_faces, is_shifted, mask_of, members_of, shift_ij
+from shiftlab import gfp
 from shiftlab.complexes import STRICT
 
 
@@ -142,3 +145,31 @@ def brute_pivot_columns(rows, p):
         inv = pow(top[c], p - 2, p)
         rest = [[(x - row[c] * inv * y) % p for x, y in zip(row, top)] for row in rest]
     return pivots
+
+
+def brute_hochster_betti(cx: SimplicialComplex, p: int):
+    """Hochster's sum with no shortcut: every vertex subset W, including
+    the faces, with the faces of each Delta_W grouped by size here and
+    each boundary matrix built from those groups."""
+    table = {}
+    for w in range(1, 1 << cx.n):
+        by_size = {}
+        for f in sorted(f for f in cx.faces if f & ~w == 0):
+            by_size.setdefault(f.bit_count(), []).append(f)
+        top = max(by_size)
+        # ranks[k]: rank of d_k, from the (k+1)-vertex faces to the k-vertex faces
+        ranks = {}
+        for k in range(top):
+            rows, cols = by_size[k], by_size[k + 1]
+            index = {f: r for r, f in enumerate(rows)}
+            mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
+            for c, f in enumerate(cols):
+                for pos, v in enumerate(members_of(f)):
+                    mat[index[f & ~(1 << (v - 1))], c] = (-1) ** pos % p
+            ranks[k] = gfp.rank(mat, p)
+        for k in range(-1, top):
+            dim_k = len(by_size[k + 1]) - ranks.get(k, 0) - ranks.get(k + 1, 0)
+            i, j = w.bit_count() - k - 2, k + 2
+            if dim_k and i >= 0:
+                table[(i, j)] = table.get((i, j), 0) + dim_k
+    return table

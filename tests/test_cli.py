@@ -4,6 +4,7 @@ import pytest
 
 from shiftlab import from_facets, to_json
 from shiftlab.complexes import from_json_dict
+from shiftlab import verify
 from shiftlab.cli import main
 
 
@@ -55,6 +56,27 @@ def test_bad_field_or_retries_exit_2(cycle_path, command, flags, capsys):
     assert len(out.err.splitlines()) == 1 and out.err.startswith("shiftlab: error:")
     if flags[0] in ("--field", "--prime"):
         assert f"field size {flags[1]} is not a prime" in out.err
+
+
+def test_betti_on_a_simplex_refuses_bad_field(tmp_path, capsys):
+    # every vertex subset of a simplex is a face, so no homology is computed
+    path = tmp_path / "simplex.json"
+    path.write_text(to_json(from_facets(3, [[1, 2, 3]])))
+    assert main(["betti", str(path), "--field", "4"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "field size 4 is not a prime" in out.err
+
+
+@pytest.mark.parametrize("seed", ["0", "1", "2"])
+def test_verify_refuses_n_above_20_before_any_trial(monkeypatch, seed, capsys):
+    def no_trial(*args):
+        raise AssertionError("a trial started")
+
+    monkeypatch.setattr(verify, "random_complex", no_trial)
+    assert main(["verify", "--n", "25", "--trials", "1", "--seed", seed]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == ["shiftlab: error: n must be at most 20"]
 
 
 @pytest.mark.parametrize(

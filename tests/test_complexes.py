@@ -3,6 +3,7 @@ import json
 import pytest
 
 from shiftlab import (
+    SimplicialComplex,
     f_vector,
     from_facets,
     from_faces,
@@ -20,8 +21,8 @@ from shiftlab import (
     to_json,
 )
 from shiftlab import complexes
-from shiftlab.complexes import RELAXED, STRICT
-from shiftlab.faces import max_index
+from shiftlab.complexes import RELAXED, STRICT, from_nonfaces
+from shiftlab.faces import degree, max_index
 from shiftlab.verify import random_complex
 
 from support import all_strict_complexes, brute_is_shifted
@@ -29,6 +30,45 @@ from support import all_strict_complexes, brute_is_shifted
 
 def faces_as_sets(cx):
     return {members_of(f) for f in cx.faces}
+
+
+def _corpus():
+    out = [cx for n in range(1, 5) for cx in all_strict_complexes(n)]
+    out += [random_complex(n, density, 7) for n in (6, 8) for density in (0.05, 0.2)]
+    out += [restriction(cx, [1, 3, 5]) for cx in out[-4:]]
+    return out + [from_facets(3, [], mode=RELAXED)]
+
+
+def test_layers_match_brute_grouping():
+    for cx in _corpus():
+        top = max(degree(f) for f in cx.faces)
+        want = tuple(tuple(sorted(f for f in cx.faces if degree(f) == k)) for k in range(top + 1))
+        assert cx.layers == want
+        assert cx.dim == top - 1
+
+
+def test_from_nonfaces_matches_from_faces():
+    for cx in all_strict_complexes(4):
+        built = from_nonfaces(cx.n, set(range(1 << cx.n)) - cx.faces)
+        assert built == from_faces(cx.n, cx.faces, STRICT)
+
+
+def test_from_nonfaces_refuses_what_from_faces_refuses():
+    # {1, 2, 3} stays a face without {1, 2}
+    with pytest.raises(ValueError, match="downward-closed"):
+        from_nonfaces(3, [mask_of([1, 2])])
+    # every set holding 3 is a non-face, {3} included
+    with pytest.raises(ValueError, match="strict mode"):
+        from_nonfaces(3, [m for m in range(8) if m & 4])
+
+
+def test_facets_cache_is_not_a_constructor_argument():
+    with pytest.raises(TypeError):
+        SimplicialComplex(2, frozenset({0, 1, 2}), STRICT, (7,))
+    cx = SimplicialComplex(2, frozenset({0, 1, 2}), STRICT)
+    assert cx.facets() == (1, 2)
+    assert cx.facets() is cx.facets()
+    assert cx == SimplicialComplex(2, frozenset({0, 1, 2}), STRICT)
 
 
 def test_from_facets_closure():
@@ -112,6 +152,12 @@ def test_minimal_nonfaces():
     assert [members_of(m) for m in minimal_nonfaces(cyc)] == [(1, 3), (2, 4)]
     assert minimal_nonfaces(full_simplex(3)) == []
     assert [members_of(m) for m in minimal_nonfaces(from_facets(3, [[1, 3], [2, 3]]))] == [(1, 2)]
+
+
+def test_minimal_nonfaces_by_degree_then_members():
+    for cx in _corpus():
+        gens = minimal_nonfaces(cx)
+        assert gens == sorted(gens, key=lambda m: (degree(m), members_of(m)))
 
 
 def test_ideal_degree_slice():

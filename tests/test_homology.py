@@ -23,6 +23,8 @@ from shiftlab.faces import degree, max_index
 from shiftlab.homology import betti_tsv
 from shiftlab.verify import random_complex
 
+from support import all_strict_complexes, brute_hochster_betti
+
 
 def eliahou_kervaire_betti(cx):
     """Independent oracle for squarefree strongly stable ideals:
@@ -48,6 +50,24 @@ def test_boundary_single_vertex():
     cx = from_facets(1, [[1]])
     B = boundary_matrix(cx, 0, 5)
     assert B.shape == (1, 1) and B[0, 0] == 1
+
+
+def test_boundary_past_the_top_layer_is_empty():
+    tri = from_facets(3, [[1, 2], [2, 3], [1, 3]])
+    assert boundary_matrix(tri, 2, 2).shape == (3, 0)
+    assert boundary_matrix(tri, 3, 2).shape == (0, 0)
+
+
+@pytest.mark.parametrize("p", [0, 1, 4])
+def test_boundary_matrix_refuses_bad_field(p):
+    tri = from_facets(3, [[1, 2], [2, 3], [1, 3]])
+    with pytest.raises(ValueError, match=f"field size {p} is not a prime"):
+        boundary_matrix(tri, 1, p)
+
+
+def test_hochster_refuses_bad_field_when_every_subset_is_a_face():
+    with pytest.raises(ValueError, match="field size 4 is not a prime"):
+        hochster_betti(full_simplex(3), 4)
 
 
 def test_boundary_squared_zero():
@@ -86,6 +106,15 @@ def test_hochster_4cycle():
     # complete intersection (x1x3, x2x4): Koszul resolution
     assert hochster_betti(cyc, 2) == {(0, 2): 2, (1, 3): 1}
     assert hochster_betti(cyc, 32003) == {(0, 2): 2, (1, 3): 1}
+
+
+def test_hochster_matches_brute_oracle():
+    corpus = [cx for n in range(1, 5) for cx in all_strict_complexes(n)]
+    corpus += [random_complex(n, density, seed) for n in (6, 7, 8)
+               for density in (0.03, 0.06, 0.1) for seed in (1, 2)]
+    for cx in corpus:
+        for p in (2, 3):
+            assert hochster_betti(cx, p) == brute_hochster_betti(cx, p)
 
 
 def test_hochster_full_simplex_empty():

@@ -70,6 +70,16 @@ def test_delta_lex_rejects_unrealizable():
         delta_lex((2, 5), 4)  # 5 edges need more than 2 vertices' worth of lex room
 
 
+@pytest.mark.parametrize("f", [(3, 3, 1, 1), (3, 3, 1, 0, 2), (3, -1)])
+def test_delta_lex_refuses_entries_out_of_range(f):
+    with pytest.raises(ValueError, match="f-vector"):
+        delta_lex(f, 3)
+
+
+def test_delta_lex_accepts_zeros_past_n():
+    assert delta_lex((3, 3, 1, 0, 0), 3).faces == full_simplex(3).faces
+
+
 def test_betti_dominated_by_delta_lex():
     rng = random.Random(4)
     for t in range(10):
