@@ -22,8 +22,8 @@ from .complexes import (
     restriction,
     to_json,
 )
-from .exterior import GenericMatrix, GenericityError, gin, m_leq_via_rank, phi_image_matrix, random_gl
-from .faces import binom, lex_compare, mask_of, members_of, revlex_compare
+from .exterior import GenericMatrix, GenericityError, gin, phi_image_matrix, random_gl
+from .faces import binom, mask_of, members_of
 from .homology import (
     BettiTable,
     betti_leq,
@@ -39,7 +39,7 @@ from .section4 import (
     section4_enumerate_and_classify,
     section4_negative_results,
 )
-from .shifting import enumerate_shifted, replay, s_ij_zero, shift_ij, shift_to_shifted
+from .shifting import enumerate_shifted, replay, shift_ij, shift_to_shifted
 from .verify import VerificationReport, random_complex, verify_theorems
 
 __all__ = [
@@ -65,10 +65,8 @@ __all__ = [
     "ideal_degree_slice",
     "ideal_slices",
     "is_shifted",
-    "lex_compare",
     "m_leq",
     "m_leq_counts",
-    "m_leq_via_rank",
     "mask_of",
     "members_of",
     "minimal_nonfaces",
@@ -78,8 +76,6 @@ __all__ = [
     "reduced_homology_dims",
     "replay",
     "restriction",
-    "revlex_compare",
-    "s_ij_zero",
     "section4_build",
     "section4_enumerate_and_classify",
     "section4_negative_results",

@@ -22,7 +22,7 @@ from .complexes import (
     to_json_dict,
 )
 from .exterior import gin
-from .faces import degree, members_of
+from .faces import members_of
 from .homology import betti_tsv, hochster_betti, shifted_betti
 from .lexsegment import delta_lex
 from .shifting import enumerate_shifted, replay, shift_to_shifted
@@ -61,8 +61,8 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
 def _cmd_shift(args) -> int:
     cx = _load(args.complex)
     if args.pairs is not None:
-        result = replay(cx, _parse_pairs(args.pairs))
         seq = _parse_pairs(args.pairs)
+        result = replay(cx, seq)
     else:
         result, seq = shift_to_shifted(cx, args.auto, seed=args.seed)
     doc = to_json_dict(result)
@@ -80,10 +80,10 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_gin(args) -> int:
     cx = _load(args.complex)
-    result = gin(cx, p=args.prime, seed=args.seed, retries=args.retries)
+    result = gin(cx, p=args.prime, seed=args.seed)
     gens_by_degree: dict[int, list] = {}
     for g in minimal_nonfaces(result):
-        gens_by_degree.setdefault(degree(g), []).append(list(members_of(g)))
+        gens_by_degree.setdefault(g.bit_count(), []).append(list(members_of(g)))
     slices = ideal_slices(result)
     report = [
         {
@@ -158,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("complex")
     p.add_argument("--prime", type=int, default=32003)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--retries", type=int, default=3)
     p.set_defaults(func=_cmd_gin)
 
     p = sub.add_parser("lex", help="lexsegment complex with the same f-vector")

@@ -18,17 +18,14 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Mapping
 
-from .faces import (
-    MAX_GROUND_SET,
-    all_faces,
-    degree,
-    mask_of,
-    members_of,
-    subsets_of,
-)
+from .faces import MAX_GROUND_SET, all_faces, mask_of, members_of, subsets_of
 
 STRICT = "strict"
 RELAXED = "relaxed"
+
+# Hochster's sum, the degree slices of I_Delta and the lex segments each
+# walk all 2^n vertex subsets, so their work doubles with every vertex.
+MAX_WALK_N = 20
 
 
 class ShiftlabError(RuntimeError):
@@ -70,7 +67,7 @@ class SimplicialComplex:
             for f in self.faces
             if not any((f | (1 << v)) in self.faces for v in range(self.n) if not f >> v & 1)
         ]
-        out.sort(key=lambda m: (degree(m), members_of(m)))
+        out.sort(key=lambda m: (m.bit_count(), members_of(m)))
         return tuple(out)
 
     def facets(self) -> tuple[int, ...]:
@@ -92,6 +89,12 @@ def _closure(masks: Iterable[int]) -> frozenset[int]:
 def _check_ground_set(n: int) -> None:
     if not 1 <= n <= MAX_GROUND_SET:
         raise ValueError(f"ground-set size must be in 1..{MAX_GROUND_SET}")
+
+
+def check_walk_size(n: int) -> None:
+    """Refuse a ground set too large for a walk over its 2^n subsets."""
+    if n > MAX_WALK_N:
+        raise ValueError(f"n must be at most {MAX_WALK_N}")
 
 
 def _check_within(n: int, masks: Iterable[int]) -> None:
@@ -217,6 +220,7 @@ def ideal_degree_slice(cx: SimplicialComplex, d: int) -> frozenset[int]:
 
 def ideal_slices(cx: SimplicialComplex) -> dict[int, frozenset[int]]:
     """Degree slices of I_Delta for every degree 0..n, keyed by degree."""
+    check_walk_size(cx.n)
     return {d: ideal_degree_slice(cx, d) for d in range(cx.n + 1)}
 
 
@@ -224,7 +228,7 @@ def m_leq_counts(monomials: Iterable[int]) -> list[int]:
     """All m_<= counts of one degree slice in a single pass.
 
     c[i] is the number of monomials whose largest variable index
-    (``max_index``, the mask's bit length) is <= i, for i = 0 .. 64: a
+    (the mask's bit length) is <= i, for i = 0 .. 64: a
     histogram of largest indices, then a prefix sum.
     """
     hist = Counter(map(int.bit_length, monomials))

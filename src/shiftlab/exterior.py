@@ -7,9 +7,10 @@ the d-th exterior power, and row-reduce.  The columns are sorted
 revlex-descending, which on one degree layer is ascending mask order:
 a >_rev b iff the largest element of a ^ b lies in b, iff a < b as
 integers.  A monomial is in the generic initial ideal exactly when its
-column carries a pivot, and the rank of any column prefix yields the
-m_<= statistics directly: the masks below 2^i are the monomials with
-largest index <= i.
+column carries a pivot.  The masks below 2^i, the first C(i, d)
+columns, are the monomials with largest index <= i, so the m_<=i count
+of the result in degree d (``complexes.m_leq``) is the rank of that
+column prefix.
 
 The same pivot set can be read from the faces (Kalai, "Algebraic
 shifting", 2002).  The images of the d-faces of the complex under the
@@ -25,7 +26,9 @@ thousands.
 The infinite base field is approximated by GF(p) with a uniform random
 coordinate change; results are accepted only when two independent draws
 agree, which bounds the failure probability by (degree of the relevant
-minors)/p per draw.
+minors)/p per draw.  ``gin`` makes at most three attempts, each a fresh
+pair of draws.  Its degree slices come from ``complexes.ideal_slices``,
+so it refuses more than ``complexes.MAX_WALK_N`` vertices.
 """
 
 from __future__ import annotations
@@ -43,9 +46,8 @@ from .complexes import (
     SimplicialComplex,
     f_vector,
     from_nonfaces,
-    ideal_degree_slice,
+    ideal_slices,
     is_shifted,
-    m_leq,
 )
 from .faces import all_faces, binom, members_of
 
@@ -191,30 +193,27 @@ def _gin_degree(slice_d: frozenset[int], d: int, phi: GenericMatrix) -> frozense
     return _eliminate(slice_d, d, phi, on_faces=faces_d < len(slice_d))
 
 
-def _gin_nonfaces_once(slices: dict[int, frozenset[int]], phi: GenericMatrix) -> dict[int, frozenset[int]]:
-    """Non-face masks of the generic initial complex, per degree."""
-    return {d: _gin_degree(slice_d, d, phi) for d, slice_d in slices.items()}
+# attempts gin makes, each a pair of draws, before it gives up
+_ATTEMPTS = 3
 
 
-def gin(cx: SimplicialComplex, p: int = 32003, seed: int = 1, retries: int = 3) -> SimplicialComplex:
+def gin(cx: SimplicialComplex, p: int = 32003, seed: int = 1) -> SimplicialComplex:
     """The exterior algebraic shifted complex (generic initial complex).
 
     Runs the degreewise pivot extraction for two independent coordinate
-    draws and requires agreement; retries with fresh seeds on
-    disagreement.  The result is asserted shifted with the f-vector of
-    the input.
+    draws and requires agreement; on disagreement it tries again with
+    fresh seeds, up to three attempts.  The result is asserted shifted
+    with the f-vector of the input.
     """
     if cx.mode != STRICT:
         raise ValueError("gin requires a strict-mode complex")
-    if retries < 1:
-        raise ValueError("retries must be at least 1")
-    slices = {d: ideal_degree_slice(cx, d) for d in range(1, cx.n + 1)}
+    slices = ideal_slices(cx)
     first_differing = []
-    for attempt in range(retries):
+    for attempt in range(_ATTEMPTS):
         s1 = seed + 1_000_003 * attempt
-        s2 = s1 + 7919
-        nf1 = _gin_nonfaces_once(slices, random_gl(cx.n, p, s1))
-        nf2 = _gin_nonfaces_once(slices, random_gl(cx.n, p, s2))
+        phi1, phi2 = random_gl(cx.n, p, s1), random_gl(cx.n, p, s1 + 7919)
+        nf1 = {d: _gin_degree(slice_d, d, phi1) for d, slice_d in slices.items()}
+        nf2 = {d: _gin_degree(slice_d, d, phi2) for d, slice_d in slices.items()}
         differing = [d for d in slices if nf1[d] != nf2[d]]
         if not differing:
             result = from_nonfaces(cx.n, set().union(*nf1.values()))
@@ -225,22 +224,6 @@ def gin(cx: SimplicialComplex, p: int = 32003, seed: int = 1, retries: int = 3) 
             return result
         first_differing.append(differing[0])
     raise GenericityError(
-        f"seed disagreement persisted across {retries} attempts; "
+        f"seed disagreement persisted across {_ATTEMPTS} attempts; "
         f"first differing degree per attempt: {first_differing}"
     )
-
-
-def m_leq_via_rank(
-    cx: SimplicialComplex, i: int, d: int, p: int = 32003, seed: int = 1
-) -> int:
-    """m_<=i of the generic initial ideal in degree d, by a rank computation.
-
-    The monomials with largest index <= i are the masks below 2^i, i.e.
-    the first C(i,d) columns of the ascending-mask (revlex-descending)
-    order; the rank of that prefix equals the number of pivots falling
-    inside it, which is what m_leq counts on the single-draw degree-d
-    result.
-    """
-    if not 1 <= d <= cx.n:
-        raise ValueError("degree out of range")
-    return m_leq({d: _gin_degree(ideal_degree_slice(cx, d), d, random_gl(cx.n, p, seed))}, i, d)

@@ -2,13 +2,17 @@
 
 A face is a subset of [n] = {1, ..., n} stored as an integer bitmask:
 vertex v occupies bit v-1.  The same mask doubles as the squarefree
-monomial x_sigma (or e_sigma) supported on the face.  Ground sets are
-capped at 64 vertices.
+monomial x_sigma (or e_sigma) supported on the face.  Its size is
+``mask.bit_count()`` and its largest vertex m(sigma) is
+``mask.bit_length()``.  Ground sets are capped at 64 vertices.
 
-Both orders compare monomials of one degree with x_1 > ... > x_n.  Lex
-is decided by the lowest bit of a ^ b, and ``all_faces`` lists a layer
-lex-descending.  Revlex is decided by the highest bit of a ^ b, so
-revlex-descending order is ascending integer order of the masks.
+Both orders compare monomials of one degree with x_1 > ... > x_n, and
+neither has a comparator: each is realised as an order of the masks.
+Lex is decided by the lowest bit of a ^ b, and ``all_faces`` lists a
+layer lex-descending.  Revlex is decided by the highest bit of a ^ b,
+so revlex-descending order is ascending integer order of the masks,
+and its first C(i, d) masks in degree d are those with largest vertex
+at most i.
 """
 
 from __future__ import annotations
@@ -50,16 +54,6 @@ def members_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def degree(mask: int) -> int:
-    """Cardinality of the face (popcount)."""
-    return mask.bit_count()
-
-
-def max_index(mask: int) -> int:
-    """m(e_sigma): the largest vertex in the face.  0 for the empty face."""
-    return mask.bit_length()
-
-
 def subsets_of(mask: int):
     """All submasks of a face mask, including 0 and the mask itself."""
     if mask < 0:
@@ -80,32 +74,3 @@ def all_faces(n: int, d: int):
     order itertools.combinations gives the vertices 1..n.
     """
     return map(sum, itertools.combinations([1 << v for v in range(n)], d))
-
-
-def _check_same_degree(a: int, b: int) -> None:
-    if degree(a) != degree(b):
-        raise ValueError("monomial order comparisons require equal degrees")
-
-
-def lex_compare(a: int, b: int) -> int:
-    """Lex order: +1 if a > b, -1 if a < b, 0 if equal.
-
-    a >_lex b iff the smallest element of the symmetric difference lies
-    in a, i.e. iff a holds the lowest set bit of a ^ b.
-    """
-    _check_same_degree(a, b)
-    diff = a ^ b
-    if not diff:
-        return 0
-    return 1 if a & diff & -diff else -1
-
-
-def revlex_compare(a: int, b: int) -> int:
-    """Reverse lex order: +1 if a > b, -1 if a < b, 0 if equal.
-
-    a >_rev b iff the largest element of the symmetric difference lies
-    in b, i.e. iff b holds the highest set bit of a ^ b, which is
-    a < b as integers.
-    """
-    _check_same_degree(a, b)
-    return (a < b) - (a > b)

@@ -16,8 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import gfp
-from .complexes import SimplicialComplex, is_shifted, m_leq_table, restriction
-from .faces import binom, degree, members_of
+from .complexes import SimplicialComplex, check_walk_size, is_shifted, m_leq_table, restriction
+from .faces import binom, members_of
 
 BettiTable = dict[tuple[int, int], int]
 
@@ -49,6 +49,7 @@ def reduced_homology_dims(cx: SimplicialComplex, p: int) -> tuple[int, ...]:
     dim H~_k = nullity(d_k) - rank(d_{k+1}), with the reduced chain
     complex (C_{-1} = K spanned by the empty face).
     """
+    gfp.check_field(p)
     layers = cx.layers  # dim C_{i-1} = len(layers[i])
     # ranks[i] = rank of d_{i-1}, i = 0 .. dim+2; d_{-1} = d_{dim+1} = 0
     ranks = [0] + [gfp.rank(boundary_matrix(cx, k, p), p) for k in range(len(layers) - 1)] + [0]
@@ -66,11 +67,12 @@ def hochster_betti(cx: SimplicialComplex, p: int) -> BettiTable:
     gfp.check_field(p)
     if cx.mode != "strict":
         raise ValueError("Hochster's formula requires a strict-mode complex")
+    check_walk_size(cx.n)
     table: BettiTable = {}
     for w in range(1, 1 << cx.n):
         if w in cx.faces:
             continue
-        size = degree(w)
+        size = w.bit_count()
         dims = reduced_homology_dims(restriction(cx, w), p)
         for k, dim_k in enumerate(dims, start=-1):
             if dim_k == 0:

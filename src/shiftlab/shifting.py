@@ -10,7 +10,7 @@ exhaustively.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .complexes import STRICT, ShiftlabError, SimplicialComplex, is_shifted
 
@@ -134,28 +134,3 @@ def enumerate_shifted(
         frontier = nxt_frontier
     return shifted_out
 
-
-def s_ij_zero(
-    slices: Mapping[int, frozenset[int]], i: int, j: int
-) -> dict[int, frozenset[int]]:
-    """The t = 0 exchange map on a family of ideal degree slices.
-
-    For a monomial with j present and i absent whose exchanged support
-    (j replaced by i) is NOT in the slice family, the exchange is
-    performed; all other monomials are kept.  Note the roles of i and j
-    are reversed relative to C_ij: here j is removed and i inserted.
-    """
-    if not i < j:
-        raise ValueError("require i < j")
-    bi, bj = 1 << (i - 1), 1 << (j - 1)
-    out: dict[int, frozenset[int]] = {}
-    for d, mons in slices.items():
-        moved = set()
-        for m in mons:
-            if m & bj and not m & bi:
-                img = (m & ~bj) | bi
-                moved.add(img if img not in mons else m)
-            else:
-                moved.add(m)
-        out[d] = frozenset(moved)
-    return out

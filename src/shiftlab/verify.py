@@ -1,10 +1,13 @@
 """Randomized theorem checking: seeded corpora and inequality sweeps.
 
-Every check compares two independently computed quantities (homology
-sums vs. the closed formula, rank statistics vs. combinatorial counts)
+Every check compares two independently computed quantities (Hochster's
+homology sums vs. the closed formula on a shifted companion, the m_<=
+counts of the exterior shift vs. those of a combinatorial shift)
 entrywise with zero tolerance.  A check is a function from a complex
 and its companions to a list of failure details, empty when it holds;
-violations are collected in a report rather than raised.
+violations are collected in a report rather than raised.  Complexes
+have at most ``MAX_WALK_N`` vertices, the bound of the subset walks
+every trial makes.
 """
 
 from __future__ import annotations
@@ -16,8 +19,10 @@ from dataclasses import dataclass, field
 from time import perf_counter
 
 from .complexes import (
+    MAX_WALK_N,
     STRICT,
     SimplicialComplex,
+    check_walk_size,
     f_vector,
     from_facets,
     is_shifted,
@@ -27,8 +32,6 @@ from .exterior import gin
 from .homology import BettiTable, betti_leq, hochster_betti, shifted_betti
 from .lexsegment import delta_lex
 from .shifting import replay, shift_ij, shift_to_shifted
-
-_MAX_N = 20
 
 
 @dataclass
@@ -61,8 +64,8 @@ def random_complex(n: int, density: float, seed: int) -> SimplicialComplex:
     given inclusion probability and downward-closed; singletons are
     always present.
     """
-    if not 1 <= n <= _MAX_N:
-        raise ValueError(f"n must be in 1..{_MAX_N}")
+    if not 1 <= n <= MAX_WALK_N:
+        raise ValueError(f"n must be in 1..{MAX_WALK_N}")
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must be a probability")
     rng = random.Random(seed)
@@ -122,10 +125,9 @@ def verify_theorems(
     lexsegment companions, the exterior vs. combinatorial comparison,
     the m_<= domination, and a sampled single-step Betti monotonicity
     check.  Trial sizes are drawn from 2..max(2, n), so n above
-    _MAX_N is refused before the first trial.
+    MAX_WALK_N is refused before the first trial.
     """
-    if n > _MAX_N:
-        raise ValueError(f"n must be at most {_MAX_N}")
+    check_walk_size(n)
     t0 = perf_counter()
     report = VerificationReport()
     rng = random.Random(seed)

@@ -82,6 +82,31 @@ def brute_shift_ij(cx: SimplicialComplex, i: int, j: int) -> SimplicialComplex:
     return SimplicialComplex(cx.n, frozenset(out), STRICT)
 
 
+def s_ij_zero(slices, i, j):
+    """C_ij on the ideal side: the t = 0 exchange map on a family of
+    ideal degree slices, an oracle for ``ideal_slices(shift_ij(cx, i, j))``.
+
+    For a monomial with j present and i absent whose exchanged support
+    (j replaced by i) is NOT in the slice family, the exchange is
+    performed; all other monomials are kept.  Note the roles of i and j
+    are reversed relative to C_ij: here j is removed and i inserted.
+    """
+    if not i < j:
+        raise ValueError("require i < j")
+    bi, bj = 1 << (i - 1), 1 << (j - 1)
+    out = {}
+    for d, mons in slices.items():
+        moved = set()
+        for m in mons:
+            if m & bj and not m & bi:
+                img = (m & ~bj) | bi
+                moved.add(img if img not in mons else m)
+            else:
+                moved.add(m)
+        out[d] = frozenset(moved)
+    return out
+
+
 def brute_shift_to_shifted(cx: SimplicialComplex, strategy: str = "sweep", seed: int = 0):
     """One loop per strategy, each applying full C_ij shifts.
 

@@ -20,17 +20,15 @@ from shiftlab import (
     mask_of,
     random_complex,
     reduced_homology_dims,
-    revlex_compare,
-    s_ij_zero,
     section4_build,
     section4_negative_results,
     shift_ij,
     shift_to_shifted,
     shifted_betti,
 )
-from shiftlab.faces import all_faces, max_index
+from shiftlab.faces import all_faces, binom
 
-from support import all_strict_complexes, classified_section4
+from support import all_strict_complexes, brute_revlex_greater, classified_section4, s_ij_zero
 
 P = 32003
 DENSITIES = (0.1, 0.25, 0.4, 0.55, 0.7, 0.85)
@@ -183,13 +181,16 @@ def test_criterion_10_property_suites():
         euler = sum((-1) ** k * d for k, d in enumerate(dims, start=-1))
         ok = ok and euler == -1 + sum((-1) ** i * fi for i, fi in enumerate(f_vector(cx)))
 
-    # rev-lex threshold property, exhaustive for n <= 6
+    # rev-lex threshold property, exhaustive for n <= 6: ascending masks
+    # are revlex-descending, and the first C(i, d) of them, down to the
+    # window {i-d+1..i}, are the monomials with largest index <= i
     for n in range(1, 7):
         for d in range(1, n + 1):
+            layer = sorted(all_faces(n, d))
+            ok = ok and all(brute_revlex_greater(a, b) for a, b in zip(layer, layer[1:]))
             for i in range(d, n + 1):
-                window = mask_of(range(i - d + 1, i + 1))
-                for tau in all_faces(n, d):
-                    ok = ok and (revlex_compare(tau, window) >= 0) == (max_index(tau) <= i)
+                ok = ok and layer[binom(i, d) - 1] == mask_of(range(i - d + 1, i + 1))
+                ok = ok and all((tau.bit_length() <= i) == (k < binom(i, d)) for k, tau in enumerate(layer))
 
     # ideal-level exchange equals the face-level shift, exhaustive for n <= 5
     for n in (2, 3, 4, 5):

@@ -1,10 +1,11 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from shiftlab import from_facets, to_json
 from shiftlab.complexes import from_json_dict
-from shiftlab import verify
+from shiftlab import complexes, exterior, homology, lexsegment, verify
 from shiftlab.cli import main
 
 
@@ -46,15 +47,22 @@ def test_betti_command_shifted(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command, flags",
     [("betti", ["--field", f]) for f in ("4", "1", "0", "4294967311")]
-    + [("gin", ["--prime", "4"]), ("gin", ["--retries", "0"])]
+    + [("gin", ["--prime", "4"]), ("gin", ["--retries", "3"])]
     + [("gin", ["--prime", p]) for p in ("0", "-3")],
 )
 def test_bad_field_or_retries_exit_2(cycle_path, command, flags, capsys):
-    assert main([command, cycle_path, *flags]) == 2
+    try:
+        code = main([command, cycle_path, *flags])
+    except SystemExit as exc:  # argparse's exit on an unknown flag
+        code = exc.code
+    assert code == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert len(out.err.splitlines()) == 1 and out.err.startswith("shiftlab: error:")
-    if flags[0] in ("--field", "--prime"):
+    if flags[0] == "--retries":
+        # gin always makes three attempts; there is no flag to change that
+        assert "unrecognized arguments: --retries 3" in out.err
+    else:
+        assert len(out.err.splitlines()) == 1 and out.err.startswith("shiftlab: error:")
         assert f"field size {flags[1]} is not a prime" in out.err
 
 
@@ -80,6 +88,27 @@ def test_verify_refuses_n_above_20_before_any_trial(monkeypatch, seed, capsys):
 
 
 @pytest.mark.parametrize(
+    "command, flags",
+    [("lex", []), ("gin", []), ("betti", []), ("betti", ["--method", "shifted"])],
+)
+def test_subset_walks_refuse_n_above_20(monkeypatch, tmp_path, command, flags, capsys):
+    def no_walk(*args):
+        raise AssertionError("a walk over the 2^n subsets started")
+
+    # the first step of each walk raises, so a missing bound fails the test
+    # instead of hanging it
+    for module in (complexes, exterior, lexsegment):
+        monkeypatch.setattr(module, "all_faces", no_walk)
+    monkeypatch.setattr(homology, "restriction", no_walk)
+    path = tmp_path / "points.json"
+    path.write_text(to_json(from_facets(21, [[v] for v in range(1, 22)])))
+    assert main([command, str(path), *flags]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == ["shiftlab: error: n must be at most 20"]
+
+
+@pytest.mark.parametrize(
     "doc",
     [
         {"n": "4", "facets": [[1, 2]]},
@@ -98,6 +127,51 @@ def test_malformed_complex_exit_2(tmp_path, doc, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert len(out.err.splitlines()) == 1 and out.err.startswith("shiftlab: error:")
+
+
+# lists stay short, so a valid document has no facet with a large closure
+_JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 70) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["n", "facets", "mode"]) | st.text(max_size=2), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _complex_doc(draw):
+    """A complex document, at times with a vertex outside 1..n, or with
+    one field replaced by any JSON value or left out."""
+    n = draw(st.integers(1, 8) | st.integers(-1, 66))
+    facets = draw(st.lists(st.lists(st.integers(1, max(n, 1)), max_size=6), max_size=6))
+    mode = draw(st.sampled_from(["strict", "relaxed"]))
+    if mode == "strict":
+        facets += [[v] for v in range(1, n + 1)]
+    if draw(st.integers(0, 3)) == 0:
+        facets.append(draw(st.lists(st.integers(-1, 66), max_size=6)))
+    doc = {"n": n, "facets": facets, "mode": mode}
+    if draw(st.integers(0, 3)) == 0:
+        key = draw(st.sampled_from(sorted(doc)))
+        if draw(st.booleans()):
+            doc[key] = draw(_JSON_VALUE)
+        else:
+            del doc[key]
+    return doc
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(_complex_doc().map(json.dumps), _JSON_VALUE.map(json.dumps), st.text(max_size=40)))
+def test_fvector_on_any_json_text_exits_0_or_2(tmp_path, capsys, text):
+    # an exception escaping main, which would print a traceback, fails the test
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    code = main(["fvector", str(path)])
+    out = capsys.readouterr()
+    if code == 0:
+        assert isinstance(json.loads(out.out), list) and out.err == ""
+    else:
+        assert code == 2 and out.out == ""
+        assert len(out.err.splitlines()) == 1 and out.err.startswith("shiftlab: error:")
 
 
 def test_shift_command_pairs(path_graph_path, capsys):

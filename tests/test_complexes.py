@@ -22,7 +22,6 @@ from shiftlab import (
 )
 from shiftlab import complexes
 from shiftlab.complexes import RELAXED, STRICT, from_nonfaces
-from shiftlab.faces import degree, max_index
 from shiftlab.verify import random_complex
 
 from support import all_strict_complexes, brute_is_shifted
@@ -41,8 +40,8 @@ def _corpus():
 
 def test_layers_match_brute_grouping():
     for cx in _corpus():
-        top = max(degree(f) for f in cx.faces)
-        want = tuple(tuple(sorted(f for f in cx.faces if degree(f) == k)) for k in range(top + 1))
+        top = max(f.bit_count() for f in cx.faces)
+        want = tuple(tuple(sorted(f for f in cx.faces if f.bit_count() == k)) for k in range(top + 1))
         assert cx.layers == want
         assert cx.dim == top - 1
 
@@ -157,7 +156,7 @@ def test_minimal_nonfaces():
 def test_minimal_nonfaces_by_degree_then_members():
     for cx in _corpus():
         gens = minimal_nonfaces(cx)
-        assert gens == sorted(gens, key=lambda m: (degree(m), members_of(m)))
+        assert gens == sorted(gens, key=lambda m: (m.bit_count(), members_of(m)))
 
 
 def test_ideal_degree_slice():
@@ -187,7 +186,7 @@ def test_m_leq_counts_match_direct_count():
             s = slices.get(d, frozenset())
             counts = m_leq_counts(s)
             for i in range(-1, cx.n + 2):
-                want = sum(1 for m in s if max_index(m) <= i)
+                want = sum(1 for m in s if m.bit_length() <= i)
                 assert m_leq(slices, i, d) == want
                 if i >= 0:
                     assert counts[i] == want

@@ -19,7 +19,6 @@ from shiftlab import (
 )
 from shiftlab import gfp
 from shiftlab.complexes import RELAXED
-from shiftlab.faces import degree, max_index
 from shiftlab.homology import betti_tsv
 from shiftlab.verify import random_complex
 
@@ -32,10 +31,10 @@ def eliahou_kervaire_betti(cx):
     C(m(u) - j, i)."""
     table = {}
     for g in minimal_nonfaces(cx):
-        j = degree(g)
-        for i in range(max_index(g) - j + 1):
+        j = g.bit_count()
+        for i in range(g.bit_length() - j + 1):
             key = (i, j)
-            table[key] = table.get(key, 0) + binom(max_index(g) - j, i)
+            table[key] = table.get(key, 0) + binom(g.bit_length() - j, i)
     return {k: v for k, v in table.items() if v}
 
 
@@ -68,6 +67,13 @@ def test_boundary_matrix_refuses_bad_field(p):
 def test_hochster_refuses_bad_field_when_every_subset_is_a_face():
     with pytest.raises(ValueError, match="field size 4 is not a prime"):
         hochster_betti(full_simplex(3), 4)
+
+
+@pytest.mark.parametrize("facets", [[], [[1]]], ids=["only-the-empty-face", "one-vertex"])
+def test_reduced_homology_refuses_bad_field(facets):
+    # with only the empty face no boundary matrix is built to check p
+    with pytest.raises(ValueError, match="field size 4 is not a prime"):
+        reduced_homology_dims(from_facets(3, facets, mode=RELAXED), 4)
 
 
 def test_boundary_squared_zero():

@@ -12,14 +12,13 @@ from shiftlab import (
     mask_of,
     members_of,
     replay,
-    s_ij_zero,
     shift_ij,
     shift_to_shifted,
 )
 from shiftlab.complexes import RELAXED, SimplicialComplex
 from shiftlab.verify import random_complex
 
-from support import all_strict_complexes, brute_shift_ij, brute_shift_to_shifted
+from support import all_strict_complexes, brute_shift_ij, brute_shift_to_shifted, s_ij_zero
 
 
 def facet_sets(cx):
