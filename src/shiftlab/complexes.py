@@ -97,14 +97,14 @@ def check_walk_size(n: int) -> None:
         raise ValueError(f"n must be at most {MAX_WALK_N}")
 
 
-def _check_within(n: int, masks: Iterable[int]) -> None:
+def _check_within(n: int, masks: Iterable[int], what: str = "face") -> None:
     _check_ground_set(n)
     full = (1 << n) - 1
     for f in masks:
         if f < 0:
-            raise ValueError(f"face mask {f} not contained in [{n}]")
+            raise ValueError(f"{what} mask {f} not contained in [{n}]")
         if f & ~full:
-            raise ValueError(f"face {members_of(f)} not contained in [{n}]")
+            raise ValueError(f"{what} {members_of(f)} not contained in [{n}]")
 
 
 def _validate(n: int, faces: frozenset[int], mode: str) -> None:
@@ -150,6 +150,7 @@ def from_facets(n: int, facets: Iterable, mode: str = STRICT) -> SimplicialCompl
 def from_nonfaces(n: int, nonfaces: Iterable[int]) -> SimplicialComplex:
     """The strict complex on [n] whose faces are all masks below 2^n
     not in ``nonfaces``; the result is checked like :func:`from_faces`."""
+    check_walk_size(n)
     bad = frozenset(nonfaces)
     return from_faces(n, (m for m in range(1 << n) if m not in bad), STRICT)
 
@@ -170,8 +171,10 @@ def restriction(cx: SimplicialComplex, w) -> SimplicialComplex:
     """Induced subcomplex on W: faces of cx contained in W, labels kept.
 
     The result is relaxed-mode since vertices of W need not be faces.
+    W must lie inside [n].
     """
     wmask = w if isinstance(w, int) else mask_of(w)
+    _check_within(cx.n, (wmask,), "vertex set")
     faces = frozenset(f for f in cx.faces if f & ~wmask == 0)
     return SimplicialComplex(cx.n, faces, RELAXED)
 
@@ -201,6 +204,7 @@ def minimal_nonfaces(cx: SimplicialComplex) -> list[int]:
 
     Listed by (degree, members): ``all_faces`` gives each degree in that
     order."""
+    check_walk_size(cx.n)
     out = []
     for d in range(1, cx.n + 1):
         for mask in all_faces(cx.n, d):

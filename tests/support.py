@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 
-from shiftlab import SimplicialComplex, from_faces, is_shifted, mask_of, members_of, shift_ij
+from shiftlab import SimplicialComplex, boundary_matrix, from_faces, is_shifted, mask_of, members_of, shift_ij
 from shiftlab import gfp
 from shiftlab.complexes import STRICT
 
@@ -170,6 +170,15 @@ def brute_pivot_columns(rows, p):
         inv = pow(top[c], p - 2, p)
         rest = [[(x - row[c] * inv * y) % p for x, y in zip(row, top)] for row in rest]
     return pivots
+
+
+def numpy_reduced_homology_dims(cx: SimplicialComplex, p: int):
+    """Reduced homology dimensions from numpy boundary matrices, ranked by
+    ``gfp.rank`` in every degree: the library's path for p > 2, and the
+    oracle for its GF(2) bit ranks."""
+    layers = cx.layers
+    ranks = [0] + [gfp.rank(boundary_matrix(cx, k, p), p) for k in range(len(layers) - 1)] + [0]
+    return tuple(len(layer) - ranks[i] - ranks[i + 1] for i, layer in enumerate(layers))
 
 
 def brute_hochster_betti(cx: SimplicialComplex, p: int):

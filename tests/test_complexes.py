@@ -129,6 +129,34 @@ def test_restriction():
     assert faces_as_sets(restriction(cx, [2, 3])) == {(), (2,), (3,)}
 
 
+@pytest.mark.parametrize(
+    "w, message",
+    [
+        (-1, r"vertex set mask -1 not contained in \[4\]"),
+        ([1, 5], r"vertex set \(1, 5\) not contained in \[4\]"),
+        (0b10001, r"vertex set \(1, 5\) not contained in \[4\]"),
+    ],
+    ids=["negative-mask", "vertex-past-n", "mask-past-n"],
+)
+def test_restriction_refuses_vertex_set_outside_ground_set(w, message):
+    cyc = from_facets(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
+    with pytest.raises(ValueError, match=message):
+        restriction(cyc, w)
+
+
+def test_nonface_walks_refuse_n_above_20(monkeypatch):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked the subsets of [21]")
+
+    monkeypatch.setattr(complexes, "all_faces", no_walk)
+    monkeypatch.setattr(complexes, "from_faces", no_walk)
+    points = from_facets(21, [[v] for v in range(1, 22)])
+    with pytest.raises(ValueError, match="n must be at most 20"):
+        minimal_nonfaces(points)
+    with pytest.raises(ValueError, match="n must be at most 20"):
+        from_nonfaces(21, [])
+
+
 def test_restriction_full_ground_set_is_identity():
     cx = from_facets(4, [[1, 2, 3], [2, 4]])
     assert restriction(cx, range(1, 5)).faces == cx.faces

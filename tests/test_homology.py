@@ -22,7 +22,7 @@ from shiftlab.complexes import RELAXED
 from shiftlab.homology import betti_tsv
 from shiftlab.verify import random_complex
 
-from support import all_strict_complexes, brute_hochster_betti
+from support import all_strict_complexes, brute_hochster_betti, numpy_reduced_homology_dims
 
 
 def eliahou_kervaire_betti(cx):
@@ -107,6 +107,20 @@ def test_euler_characteristic_identity():
         assert lhs == rhs
 
 
+def test_gf2_bit_ranks_match_numpy_ranks():
+    # every strict complex with n <= 5, and its induced subcomplexes on
+    # [n] minus vertex 1, on the odd vertices and on the even ones
+    corpus = set()
+    for n in range(1, 6):
+        full = (1 << n) - 1
+        for cx in all_strict_complexes(n):
+            corpus.add(cx)
+            corpus.update(restriction(cx, w) for w in (full ^ 1, full & 0b10101, full & 0b01010))
+    assert len(corpus) > 7020  # the restrictions add relaxed complexes
+    for cx in corpus:
+        assert reduced_homology_dims(cx, 2) == numpy_reduced_homology_dims(cx, 2)
+
+
 def test_hochster_4cycle():
     cyc = from_facets(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
     # complete intersection (x1x3, x2x4): Koszul resolution
@@ -121,6 +135,8 @@ def test_hochster_matches_brute_oracle():
     for cx in corpus:
         for p in (2, 3):
             assert hochster_betti(cx, p) == brute_hochster_betti(cx, p)
+    for cx in [random_complex(n, density, 1) for n in (9, 10) for density in (0.01, 0.03)]:
+        assert hochster_betti(cx, 2) == brute_hochster_betti(cx, 2)
 
 
 def test_hochster_full_simplex_empty():
