@@ -7,9 +7,10 @@ intermediate product sum is an exactly represented integer.
 
 The primitive behind every rank and pivot set is :func:`pivot_columns`:
 Gaussian elimination with a fixed left-to-right column order, returning
-the columns that carry a pivot.  The rank of any column prefix is the
-number of pivots inside that prefix.  :func:`inverse` is a separate
-Gauss-Jordan elimination for the small square coordinate changes.
+the columns that carry a pivot.  The rank of the matrix, or of any
+column prefix, is the number of pivots inside it.  :func:`inverse` is a
+separate Gauss-Jordan elimination for the small square coordinate
+changes.
 """
 
 from __future__ import annotations
@@ -78,11 +79,6 @@ def pivot_columns(mat, p: int) -> list[int]:
             M = (M - F @ R) % p
             k = 0
     return pivots
-
-
-def rank(mat, p: int) -> int:
-    """Rank over GF(p)."""
-    return len(pivot_columns(mat, p))
 
 
 def inverse(mat, p: int) -> np.ndarray:

@@ -10,11 +10,10 @@ paths are provided:
   m_<= statistics of the ideal's degree slices (valid for shifted
   complexes, field independent).
 
-Reduced homology needs the rank of each boundary map.  Over GF(2) the
-signs vanish, so a boundary column is a Python ``int`` bitset and the
-rank is the size of an XOR basis, with no matrix and no numpy call per
-map; Hochster's sum takes thousands of such ranks of tiny maps.  For
-p > 2 the rank of :func:`boundary_matrix` comes from :func:`gfp.rank`.
+Every boundary rank, over every field, comes from one sparse elimination
+mod p with clearing (:func:`_reduced_dims`), with no matrix and no numpy
+call per map.  :func:`boundary_matrix` builds the same maps as numpy
+arrays for independent checks.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import gfp
-from .complexes import SimplicialComplex, check_walk_size, is_shifted, m_leq_table, restriction
+from .complexes import SimplicialComplex, check_walk_size, is_shifted, m_leq_table
 from .faces import binom, members_of
 
 BettiTable = dict[tuple[int, int], int]
@@ -49,60 +48,67 @@ def boundary_matrix(cx: SimplicialComplex, k: int, p: int) -> np.ndarray:
     return M
 
 
-def _gf2_rank(rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
-    """Rank over GF(2) of the boundary map from the faces ``cols`` to
-    the faces ``rows`` (one vertex fewer), with no matrix.
+def _reduced_dims(layers, p: int) -> tuple[int, ...]:
+    """Reduced homology dimensions of the complex whose faces by size
+    are ``layers`` (each in ascending mask order, none empty).
 
-    Column f is the bitset of the row indices of f ^ low, one for each
-    vertex bit low of f; the signs vanish mod 2.  Each column is
-    reduced into an XOR basis keyed by its highest set bit, and the
-    rank is the size of the basis.
+    A column of d_{k-1}, for a k-vertex face, is a dict from the row
+    indices of its (k-1)-vertex faces to the signs 1 and p-1, alternating
+    from the lowest vertex up.  It is reduced into a basis keyed by its
+    highest row index; the rank is the size of the basis.  Degrees run
+    from the top down with clearing (Chen and Kerber, "Persistent
+    homology computation with a twist"): a face keying a basis column of
+    d_k is no column of d_{k-1}, since d d = 0 puts its boundary in the
+    span of the boundaries of lower faces.
     """
-    bit = {f: 1 << r for r, f in enumerate(rows)}
-    basis: dict[int, int] = {}
-    for f in cols:
-        col = 0
-        rest = f
-        while rest:
-            low = rest & -rest
-            col |= bit[f ^ low]
-            rest ^= low
-        while col:
-            top = col.bit_length()
-            pivot = basis.get(top)
-            if pivot is None:
+    # ranks[i] = rank of d_{i-1}, from layers[i] to layers[i-1]; d_{-1} = 0
+    ranks = [0] * (len(layers) + 1)
+    cleared = set()
+    for i in range(len(layers) - 1, 0, -1):
+        index = {f: r for r, f in enumerate(layers[i - 1])}
+        basis: dict[int, dict[int, int]] = {}
+        for f in layers[i]:
+            if f in cleared:
+                continue
+            col, sign, rest = {}, 1, f
+            while rest:
+                low = rest & -rest
+                col[index[f ^ low]] = sign
+                sign, rest = p - sign, rest ^ low
+            while col and (top := max(col)) in basis:
+                pivot = basis[top]
+                c = col[top] * pow(pivot[top], -1, p) % p
+                for r, v in pivot.items():
+                    if x := (col.get(r, 0) - c * v) % p:
+                        col[r] = x
+                    else:
+                        del col[r]
+            if col:
                 basis[top] = col
-                break
-            col ^= pivot
-    return len(basis)
+        ranks[i] = len(basis)
+        cleared = {layers[i - 1][r] for r in basis}
+    return tuple(len(layer) - ranks[i] - ranks[i + 1] for i, layer in enumerate(layers))
 
 
 def reduced_homology_dims(cx: SimplicialComplex, p: int) -> tuple[int, ...]:
     """Dimensions of reduced homology (dim H~_{-1}, dim H~_0, ..., dim H~_dim).
 
     dim H~_k = nullity(d_k) - rank(d_{k+1}), with the reduced chain
-    complex (C_{-1} = K spanned by the empty face).  Over GF(2) each
-    rank is taken on bitset columns (:func:`_gf2_rank`); for p > 2 on
-    :func:`boundary_matrix` by :func:`gfp.rank`.
+    complex (C_{-1} = K spanned by the empty face); the ranks come from
+    :func:`_reduced_dims`, the one sparse elimination for every p.
     """
     gfp.check_field(p)
-    layers = cx.layers  # dim C_{i-1} = len(layers[i])
-    # ranks[i] = rank of d_{i-1}, i = 0 .. dim+2; d_{-1} = d_{dim+1} = 0
-    if p == 2:
-        inner = [_gf2_rank(layers[k], layers[k + 1]) for k in range(len(layers) - 1)]
-    else:
-        inner = [gfp.rank(boundary_matrix(cx, k, p), p) for k in range(len(layers) - 1)]
-    ranks = [0, *inner, 0]
-    return tuple(len(layer) - ranks[i] - ranks[i + 1] for i, layer in enumerate(layers))
+    return _reduced_dims(cx.layers, p)
 
 
 def hochster_betti(cx: SimplicialComplex, p: int) -> BettiTable:
     """Graded Betti numbers of I_Delta via Hochster's subset sum.
 
     beta_{i,i+j} = sum over W of size i+j of dim H~_{j-2}(Delta_W).
-    Each induced subcomplex is computed once and credited to every
-    (i, j) with i + j = |W|.  A W that is a face is skipped: Delta_W is
-    then a simplex, with no reduced homology.
+    The layers of each induced subcomplex Delta_W are Delta's layers
+    filtered by W, and its homology is credited to every (i, j) with
+    i + j = |W|.  A W that is a face is skipped: Delta_W is then a
+    simplex, with no reduced homology.
     """
     gfp.check_field(p)
     if cx.mode != "strict":
@@ -112,13 +118,12 @@ def hochster_betti(cx: SimplicialComplex, p: int) -> BettiTable:
     for w in range(1, 1 << cx.n):
         if w in cx.faces:
             continue
-        size = w.bit_count()
-        dims = reduced_homology_dims(restriction(cx, w), p)
-        for k, dim_k in enumerate(dims, start=-1):
+        layers = [l for l in (tuple(f for f in layer if not f & ~w) for layer in cx.layers) if l]
+        for k, dim_k in enumerate(_reduced_dims(layers, p), start=-1):
             if dim_k == 0:
                 continue
             j = k + 2
-            i = size - j  # i >= 0: only a face W has a (|W|-1)-dimensional Delta_W
+            i = w.bit_count() - j  # i >= 0: only a face W has a (|W|-1)-dimensional Delta_W
             table[(i, j)] = table.get((i, j), 0) + dim_k
     return table
 

@@ -116,21 +116,19 @@ def enumerate_shifted(
     visited = {cx.faces}
     frontier = [cx]
     shifted_out: set[SimplicialComplex] = set()
-    if is_shifted(cx):
-        shifted_out.add(cx)
     while frontier:
         nxt_frontier = []
         for state in frontier:
-            for i, j in pairs:
-                nxt = shift_ij(state, i, j)
+            moved = [nxt for i, j in pairs if (nxt := shift_ij(state, i, j)) is not state]
+            # a shifted complex is fixed by every C_ij: only a state no pair moves can be one
+            if not moved and is_shifted(state):
+                shifted_out.add(state)
+            for nxt in moved:
                 if nxt.faces in visited:
                     continue
                 if len(visited) >= state_limit:
                     raise ShiftlabError("enumerate_shifted state limit exceeded")
                 visited.add(nxt.faces)
                 nxt_frontier.append(nxt)
-                if is_shifted(nxt):
-                    shifted_out.add(nxt)
         frontier = nxt_frontier
     return shifted_out
-

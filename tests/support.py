@@ -82,6 +82,22 @@ def brute_shift_ij(cx: SimplicialComplex, i: int, j: int) -> SimplicialComplex:
     return SimplicialComplex(cx.n, frozenset(out), STRICT)
 
 
+def brute_enumerate_shifted(cx: SimplicialComplex, pairs):
+    """Every state reachable by ``brute_shift_ij`` steps over ``pairs``,
+    kept when ``brute_is_shifted`` holds; every state is tested, whether
+    or not some pair still moves it."""
+    seen = {cx.faces: cx}
+    todo = [cx]
+    while todo:
+        state = todo.pop()
+        for i, j in pairs:
+            nxt = brute_shift_ij(state, i, j)
+            if nxt.faces not in seen:
+                seen[nxt.faces] = nxt
+                todo.append(nxt)
+    return {state for state in seen.values() if brute_is_shifted(state)}
+
+
 def s_ij_zero(slices, i, j):
     """C_ij on the ideal side: the t = 0 exchange map on a family of
     ideal degree slices, an oracle for ``ideal_slices(shift_ij(cx, i, j))``.
@@ -174,10 +190,10 @@ def brute_pivot_columns(rows, p):
 
 def numpy_reduced_homology_dims(cx: SimplicialComplex, p: int):
     """Reduced homology dimensions from numpy boundary matrices, ranked by
-    ``gfp.rank`` in every degree: the library's path for p > 2, and the
-    oracle for its GF(2) bit ranks."""
+    ``gfp.pivot_columns`` in every degree with no clearing: the oracle
+    for the library's sparse elimination."""
     layers = cx.layers
-    ranks = [0] + [gfp.rank(boundary_matrix(cx, k, p), p) for k in range(len(layers) - 1)] + [0]
+    ranks = [0] + [len(gfp.pivot_columns(boundary_matrix(cx, k, p), p)) for k in range(len(layers) - 1)] + [0]
     return tuple(len(layer) - ranks[i] - ranks[i + 1] for i, layer in enumerate(layers))
 
 
@@ -200,7 +216,7 @@ def brute_hochster_betti(cx: SimplicialComplex, p: int):
             for c, f in enumerate(cols):
                 for pos, v in enumerate(members_of(f)):
                     mat[index[f & ~(1 << (v - 1))], c] = (-1) ** pos % p
-            ranks[k] = gfp.rank(mat, p)
+            ranks[k] = len(gfp.pivot_columns(mat, p))
         for k in range(-1, top):
             dim_k = len(by_size[k + 1]) - ranks.get(k, 0) - ranks.get(k + 1, 0)
             i, j = w.bit_count() - k - 2, k + 2

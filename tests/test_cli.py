@@ -99,7 +99,7 @@ def test_subset_walks_refuse_n_above_20(monkeypatch, tmp_path, command, flags, c
     # instead of hanging it
     for module in (complexes, exterior, lexsegment):
         monkeypatch.setattr(module, "all_faces", no_walk)
-    monkeypatch.setattr(homology, "restriction", no_walk)
+    monkeypatch.setattr(homology, "_reduced_dims", no_walk)
     path = tmp_path / "points.json"
     path.write_text(to_json(from_facets(21, [[v] for v in range(1, 22)])))
     assert main([command, str(path), *flags]) == 2

@@ -34,6 +34,5 @@ def test_pivot_columns_matches_pure_python_elimination(monkeypatch, panel, p):
     for mat in corpus(p):
         want = brute_pivot_columns(mat.astype(int).tolist(), p)
         assert gfp.pivot_columns(mat, p) == want
-        assert gfp.rank(mat, p) == len(want)
         full_rank_seen += 0 < len(want) == min(mat.shape)
     assert full_rank_seen >= 5

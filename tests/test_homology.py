@@ -7,6 +7,7 @@ from shiftlab import (
     betti_leq,
     binom,
     boundary_matrix,
+    delta_lex,
     f_vector,
     from_facets,
     full_simplex,
@@ -42,7 +43,7 @@ def test_boundary_triangle_rank():
     tri = from_facets(3, [[1, 2], [2, 3], [1, 3]])
     B = boundary_matrix(tri, 1, 7)
     assert B.shape == (3, 3)
-    assert gfp.rank(B, 7) == 2
+    assert len(gfp.pivot_columns(B, 7)) == 2
 
 
 def test_boundary_single_vertex():
@@ -107,9 +108,10 @@ def test_euler_characteristic_identity():
         assert lhs == rhs
 
 
-def test_gf2_bit_ranks_match_numpy_ranks():
+def test_sparse_ranks_match_numpy_ranks():
     # every strict complex with n <= 5, and its induced subcomplexes on
-    # [n] minus vertex 1, on the odd vertices and on the even ones
+    # [n] minus vertex 1, on the odd vertices and on the even ones, in
+    # characteristic 2 (no signs) and 3
     corpus = set()
     for n in range(1, 6):
         full = (1 << n) - 1
@@ -118,7 +120,40 @@ def test_gf2_bit_ranks_match_numpy_ranks():
             corpus.update(restriction(cx, w) for w in (full ^ 1, full & 0b10101, full & 0b01010))
     assert len(corpus) > 7020  # the restrictions add relaxed complexes
     for cx in corpus:
-        assert reduced_homology_dims(cx, 2) == numpy_reduced_homology_dims(cx, 2)
+        for p in (2, 3):
+            assert reduced_homology_dims(cx, p) == numpy_reduced_homology_dims(cx, p)
+
+
+# the 6-vertex real projective plane: H~_1 = H~_2 = GF(2) in characteristic
+# 2 and no reduced homology in any other
+RP2 = from_facets(6, [[1, 2, 4], [1, 2, 6], [1, 3, 5], [1, 3, 6], [1, 4, 5],
+                      [2, 3, 4], [2, 3, 5], [2, 5, 6], [3, 4, 6], [4, 5, 6]])
+
+
+def test_rp2_homology_depends_on_the_field():
+    assert reduced_homology_dims(RP2, 2) == (0, 0, 1, 1)
+    for p in (3, 32003):
+        assert reduced_homology_dims(RP2, p) == (0, 0, 0, 0)
+
+
+def test_rp2_betti_table_depends_on_the_field():
+    odd = {(0, 3): 10, (1, 3): 15, (2, 3): 6}
+    assert hochster_betti(RP2, 3) == hochster_betti(RP2, 32003) == odd
+    # only W = [6] changes: RP2's own H~_1 and H~_2 land at (i, j) = (3, 3), (2, 4)
+    assert hochster_betti(RP2, 2) == {**odd, (2, 4): 1, (3, 3): 1}
+    for p in (2, 3):
+        assert hochster_betti(RP2, p) == brute_hochster_betti(RP2, p)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_rp2_betti_dominated_by_sweep_shift_and_lex(p):
+    # the paper's inequality (ii) in both characteristics, which give RP2
+    # different tables
+    table = hochster_betti(RP2, p)
+    sweep, _ = shift_to_shifted(RP2)
+    for sc in (sweep, delta_lex(f_vector(RP2), RP2.n)):
+        assert hochster_betti(sc, p) == shifted_betti(sc)
+        assert betti_leq(table, shifted_betti(sc))
 
 
 def test_hochster_4cycle():

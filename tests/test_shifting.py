@@ -18,7 +18,13 @@ from shiftlab import (
 from shiftlab.complexes import RELAXED, SimplicialComplex
 from shiftlab.verify import random_complex
 
-from support import all_strict_complexes, brute_shift_ij, brute_shift_to_shifted, s_ij_zero
+from support import (
+    all_strict_complexes,
+    brute_enumerate_shifted,
+    brute_shift_ij,
+    brute_shift_to_shifted,
+    s_ij_zero,
+)
 
 
 def facet_sets(cx):
@@ -162,6 +168,21 @@ def test_enumerate_shifted_path():
     out = enumerate_shifted(cx)
     assert len(out) == 1
     assert facet_sets(next(iter(out))) == {(1, 3), (2, 3)}
+
+
+@pytest.mark.parametrize("restricted", [False, True], ids=["all-pairs", "pairs-above-1"])
+def test_enumerate_shifted_matches_brute_oracle(restricted):
+    # the restricted pair set leaves many non-shifted states fixed
+    for n in range(1, 5):
+        pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1) if i > 1 or not restricted]
+        for cx in all_strict_complexes(n):
+            assert enumerate_shifted(cx, candidate_pairs=pairs) == brute_enumerate_shifted(cx, pairs)
+
+
+def test_enumerate_shifted_skips_a_fixed_state_that_is_not_shifted():
+    cx = from_facets(3, [[1, 2], [1, 3]])
+    assert shift_ij(cx, 2, 3) is cx and not is_shifted(cx)
+    assert enumerate_shifted(cx, candidate_pairs=[(2, 3)]) == set()
 
 
 def test_enumerate_state_limit():
