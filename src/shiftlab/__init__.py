@@ -6,6 +6,7 @@ exterior generic initial ideals over GF(p).
 """
 
 from .complexes import (
+    InvariantError,
     ShiftlabError,
     SimplicialComplex,
     f_vector,
@@ -47,6 +48,7 @@ __all__ = [
     "BettiTable",
     "GenericMatrix",
     "GenericityError",
+    "InvariantError",
     "ShiftlabError",
     "VerificationReport",
     "EXPECTED_QSEQUENCES",

@@ -33,6 +33,14 @@ class ShiftlabError(RuntimeError):
     independent random draws kept disagreeing."""
 
 
+class InvariantError(AssertionError):
+    """An internal invariant failed: a library bug, not bad input.
+
+    Raised explicitly, so the checks also run under ``python -O``; not a
+    :class:`ShiftlabError`, so the CLI does not turn it into a refusal.
+    """
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
     n: int

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import gfp
-from .complexes import SimplicialComplex, check_walk_size, is_shifted, m_leq_table
+from .complexes import InvariantError, SimplicialComplex, check_walk_size, is_shifted, m_leq_table
 from .faces import binom, members_of
 
 BettiTable = dict[tuple[int, int], int]
@@ -148,7 +148,7 @@ def shifted_betti(cx: SimplicialComplex) -> BettiTable:
             val -= sum(m[j][k] * binom(k - j, i - 1) for k in range(j, n))
             val -= sum(m[j - 1][k - 1] * binom(k - j, i) for k in range(j, n + 1))
             if val < 0:
-                raise AssertionError(f"negative Betti number at {(i, j)}: formula misuse")
+                raise InvariantError(f"negative Betti number at {(i, j)}: formula misuse")
             if val:
                 table[(i, j)] = val
     return table

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 
-from .complexes import SimplicialComplex, check_walk_size, f_vector, from_nonfaces, is_shifted
+from .complexes import InvariantError, SimplicialComplex, check_walk_size, f_vector, from_nonfaces, is_shifted
 from .faces import all_faces, binom
 
 
@@ -34,8 +34,8 @@ def delta_lex(f: tuple[int, ...], n: int) -> SimplicialComplex:
     except ValueError as exc:
         raise ValueError(f"f-vector is not realizable by a lexsegment complex: {exc}") from exc
     if not is_shifted(cx):
-        raise AssertionError("lexsegment complex must be shifted")
+        raise InvariantError("lexsegment complex must be shifted")
     built = f_vector(cx)
     if built + (0,) * (n - len(built)) != want:
-        raise AssertionError(f"f-vector mismatch: wanted {f}, built {built}")
+        raise InvariantError(f"f-vector mismatch: wanted {f}, built {built}")
     return cx

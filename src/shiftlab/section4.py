@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import takewhile
 from time import perf_counter
 
-from .complexes import SimplicialComplex, from_nonfaces, ideal_degree_slice, m_leq_counts
+from .complexes import InvariantError, SimplicialComplex, from_nonfaces, ideal_degree_slice, m_leq_counts
 from .exterior import gin
 from .faces import all_faces, mask_of
 from .homology import betti_leq, shifted_betti
@@ -91,7 +91,7 @@ def _complex_from_blocks(blocks: dict[int, tuple], all_above: int) -> Simplicial
         lifted = {m | (1 << v) for m in prev for v in range(N) if not m >> v & 1}
         slices[d] = frozenset(lifted) | gens[d]
         if slices[d] != gens[d]:
-            raise AssertionError(f"degree-{d} slice is not spanned by its blocks")
+            raise InvariantError(f"degree-{d} slice is not spanned by its blocks")
         prev = slices[d]
     nonfaces = set().union(*slices.values())
     for d in range(all_above, N + 1):
@@ -123,7 +123,7 @@ def classify_complex(cx: SimplicialComplex, degrees=DEGREES) -> QSequence:
         elif extra == block_monomials(d, BLOCK_B):
             labels.append("B")
         else:
-            raise AssertionError(f"degree-{d} slice is not of terminal-block form")
+            raise InvariantError(f"degree-{d} slice is not of terminal-block form")
     return tuple(labels)
 
 
@@ -137,7 +137,7 @@ def section4_enumerate_and_classify() -> dict[QSequence, SimplicialComplex]:
     """
     trunc = _truncated_build()
     if enumerate_shifted(trunc) != enumerate_shifted(trunc, candidate_pairs=_tail_pairs()):
-        raise AssertionError("restricted pair set misses shifted states on the truncated variant")
+        raise InvariantError("restricted pair set misses shifted states on the truncated variant")
 
     shifted = enumerate_shifted(section4_build(), candidate_pairs=_tail_pairs())
     out: dict[QSequence, SimplicialComplex] = {}
@@ -145,7 +145,7 @@ def section4_enumerate_and_classify() -> dict[QSequence, SimplicialComplex]:
         q = classify_complex(s)
         out[q] = s
     if len(out) != len(shifted):
-        raise AssertionError("two shifted states share a Q-label")
+        raise InvariantError("two shifted states share a Q-label")
     return out
 
 

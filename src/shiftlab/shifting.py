@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from typing import Iterable
 
-from .complexes import STRICT, ShiftlabError, SimplicialComplex, is_shifted
+from .complexes import STRICT, InvariantError, ShiftlabError, SimplicialComplex, is_shifted
 
 ShiftSequence = tuple[tuple[int, int], ...]
 
@@ -41,7 +41,7 @@ def shift_ij(cx: SimplicialComplex, i: int, j: int) -> SimplicialComplex:
     out = (faces - {m ^ flip for m in moved}) | moved
     # downward closure is a theorem for C_ij; check it cheaply
     if len(out) != len(faces):
-        raise AssertionError("C_ij must be injective on faces")
+        raise InvariantError("C_ij must be injective on faces")
     return SimplicialComplex(cx.n, frozenset(out), STRICT)
 
 
@@ -84,7 +84,7 @@ def shift_to_shifted(
         cur = shift_ij(cur, i, j)
         seq.append((i, j))
     if not is_shifted(cur):
-        raise AssertionError("no pair moves, yet the complex is not shifted")
+        raise InvariantError("no pair moves, yet the complex is not shifted")
     return cur, tuple(seq)
 
 

@@ -6,8 +6,18 @@ import random
 
 import numpy as np
 
-from shiftlab import SimplicialComplex, boundary_matrix, from_faces, is_shifted, mask_of, members_of, shift_ij
+from shiftlab import (
+    SimplicialComplex,
+    boundary_matrix,
+    from_faces,
+    is_shifted,
+    mask_of,
+    members_of,
+    phi_image_matrix,
+    shift_ij,
+)
 from shiftlab import gfp
+from shiftlab.exterior import revlex_column_order
 from shiftlab.complexes import STRICT
 
 
@@ -186,6 +196,23 @@ def brute_pivot_columns(rows, p):
         inv = pow(top[c], p - 2, p)
         rest = [[(x - row[c] * inv * y) % p for x, y in zip(row, top)] for row in rest]
     return pivots
+
+
+def direct_eliminate(slice_d, d, phi, on_faces):
+    """Degree-d gin monomials of one draw from the degree-d compound
+    matrix itself, on either side: the oracle for the library's
+    elimination, which builds degrees above n/2 from complementary minors.
+
+    Ideal side: rows I_d under phi, pivots in ascending column order.
+    Face side: rows the d-faces under phi^{-T}, the complement of its
+    pivots in descending column order.
+    """
+    rows = [m for m in revlex_column_order(phi.n, d) if (m in slice_d) != on_faces]
+    M, cols = phi_image_matrix(rows, d, phi.dual if on_faces else phi.entries, phi.p)
+    if on_faces:
+        M, cols = M[:, ::-1], cols[::-1]
+    lead = frozenset(cols[c] for c in gfp.pivot_columns(M, phi.p))
+    return frozenset(cols) - lead if on_faces else lead
 
 
 def numpy_reduced_homology_dims(cx: SimplicialComplex, p: int):

@@ -3,9 +3,9 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from shiftlab import from_facets, to_json
+from shiftlab import InvariantError, from_facets, to_json
 from shiftlab.complexes import from_json_dict
-from shiftlab import complexes, exterior, homology, lexsegment, verify
+from shiftlab import complexes, exterior, gfp, homology, lexsegment, verify
 from shiftlab.cli import main
 
 
@@ -212,6 +212,14 @@ def test_gin_command(path_graph_path, capsys):
     assert degrees == sorted(degrees)
     for row in doc["pivot_report"]:
         assert row["pivot_count"] >= len(row["new_generators"])
+
+
+def test_invariant_failure_is_not_a_refusal(monkeypatch, path_graph_path, capsys):
+    # a failed invariant is a library bug: it escapes main, never exit 2
+    monkeypatch.setattr(gfp, "pivot_columns", lambda M, p: [])
+    with pytest.raises(InvariantError, match="must be independent"):
+        main(["gin", path_graph_path])
+    assert capsys.readouterr().err == ""
 
 
 def test_lex_command(cycle_path, capsys):

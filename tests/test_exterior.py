@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from shiftlab import (
+    InvariantError,
+    ShiftlabError,
     f_vector,
     from_facets,
     full_simplex,
@@ -27,6 +29,7 @@ from shiftlab.complexes import RELAXED
 from shiftlab.exterior import GenericMatrix
 from shiftlab.faces import all_faces, binom
 from shiftlab.verify import random_complex
+from support import direct_eliminate
 
 P = 32003
 
@@ -101,6 +104,40 @@ def test_phi_image_minor_example():
     want = int(g[0, 0] * g[2, 1] - g[0, 1] * g[2, 0]) % P
     col = cols.index(mask_of([1, 2]))
     assert int(M[0, col]) % P == want
+
+
+def test_phi_image_refuses_rows_that_are_not_d_subsets():
+    g = random_gl(4, 7, 1).entries
+    with pytest.raises(ValueError, match="not a 2-subset"):
+        phi_image_matrix([0b0111, 0b1011], 2, g, 7)  # 3-subsets in degree 2
+    for past_n in (0b10001, -1):
+        with pytest.raises(ValueError, match="not a 2-subset of \\[4\\]"):
+            phi_image_matrix([0b0011, past_n], 2, g, 7)
+    with pytest.raises(ValueError, match="field size 4"):
+        phi_image_matrix([0b0011], 2, g, 4)
+    # a numpy array of masks is a sequence of rows too
+    M, _ = phi_image_matrix(np.array([0b0011, 0b0101]), 2, g, 7)
+    assert np.array_equal(M, phi_image_matrix([0b0011, 0b0101], 2, g, 7)[0])
+
+
+@pytest.mark.parametrize("p", [2, 3, P])
+def test_compound_minors_obey_jacobi(p):
+    # Jacobi's complementary minors, the identity behind eliminating a
+    # degree above n/2 in degree n - d under the other matrix of the draw:
+    # det g[s, t] = (-1)^(sum s + sum t) det g * det g^{-T}[s^c, t^c]
+    for n in range(2, 8):
+        full = (1 << n) - 1
+        for phi in (random_gl(n, p, n), GenericMatrix(n, p, 0, np.triu(np.ones((n, n), dtype=np.int64)))):
+            det = int(phi_image_matrix([full], n, phi.entries, p)[0][0, 0])
+            for d in range(1, n):
+                masks = exterior.revlex_column_order(n, d)
+                M, cols = phi_image_matrix(masks, d, phi.entries, p)
+                C, ccols = phi_image_matrix([full ^ m for m in masks], n - d, phi.dual, p)
+                at = {t: k for k, t in enumerate(ccols)}
+                for r, s_ in enumerate(masks):
+                    for c, t in enumerate(cols):
+                        sign = (-1) ** (sum(members_of(s_)) + sum(members_of(t)))
+                        assert int(M[r, c]) == sign * det * int(C[r, at[full ^ t]]) % p
 
 
 def test_gin_path_graph():
@@ -240,9 +277,12 @@ def random_facet_complex(rng, n):
 def test_face_side_matches_ideal_side():
     # the face side's reversed-order pivots are the complement of the
     # ideal side's pivots for every draw, generic or not: a draw over
-    # GF(3) is often degenerate, and a unitriangular draw is never generic
+    # GF(3) is often degenerate, and a unitriangular draw is never generic.
+    # Both sides, in the complementary degree where 2d > n, must give the
+    # pivots of the degree-d compound matrix itself.
     rng = random.Random(12)
     compared = {False: 0, True: 0}  # keyed by which side gin would pick
+    complemented = 0
     for t in range(160):
         n = rng.randint(3, 8)
         cx = random_facet_complex(rng, n)
@@ -257,33 +297,60 @@ def test_face_side_matches_ideal_side():
             if not 0 < len(slice_d) < binom(n, d):
                 continue
             for phi in draws:
-                ideal = exterior._eliminate(slice_d, d, phi, on_faces=False)
-                assert exterior._eliminate(slice_d, d, phi, on_faces=True) == ideal
+                ideal = direct_eliminate(slice_d, d, phi, on_faces=False)
+                assert direct_eliminate(slice_d, d, phi, on_faces=True) == ideal
+                for on_faces in (False, True):
+                    assert exterior._eliminate(slice_d, d, phi, on_faces) == ideal
                 assert exterior._gin_degree(slice_d, d, phi) == ideal
-            assert exterior._eliminate(slice_d, d, identity, on_faces=True) == slice_d
+            for on_faces in (False, True):
+                assert exterior._eliminate(slice_d, d, identity, on_faces) == slice_d
             compared[binom(n, d) - len(slice_d) < len(slice_d)] += 1
+            complemented += 2 * d > n
     assert min(compared.values()) >= 100
+    assert complemented >= 100
 
 
 def test_gin_degree_eliminates_on_smaller_side(monkeypatch):
-    row_counts = []
+    # each matrix has the fewer rows of the two sides and is built in
+    # degree min(d, n - d): under phi^{-T} on the face side in a direct
+    # degree (2d <= n) and on the ideal side in a complemented one
+    n = 8
+    cx = random_facet_complex(random.Random(13), n)
+    phi = random_gl(n, P, 5)
+    calls = []
     real = exterior.phi_image_matrix
 
     def recorded(rows, d, g, p):
-        row_counts.append(len(rows))
+        calls.append((len(rows), d, g is phi.dual))
         return real(rows, d, g, p)
 
     monkeypatch.setattr(exterior, "phi_image_matrix", recorded)
-    cx = random_facet_complex(random.Random(13), 8)
-    phi = random_gl(8, P, 5)
-    expected = []
-    for d in range(1, 9):
+    expected, sides = [], set()
+    for d in range(1, n + 1):
         slice_d = ideal_degree_slice(cx, d)
         exterior._gin_degree(slice_d, d, phi)
-        if 0 < len(slice_d) < binom(8, d):
-            expected.append(min(len(slice_d), binom(8, d) - len(slice_d)))
-    assert row_counts == expected
-    assert any(n_faces < len(ideal_degree_slice(cx, d)) for d, n_faces in enumerate(f_vector(cx), 1))
+        n_faces = binom(n, d) - len(slice_d)
+        if slice_d and n_faces:
+            on_faces = n_faces < len(slice_d)
+            expected.append((min(len(slice_d), n_faces), min(d, n - d), on_faces == (2 * d <= n)))
+            sides.add((on_faces, (2 * d > n) - (2 * d < n)))
+    assert calls == expected
+    # both sides, a tie degree (d = 4) and a complemented degree are covered
+    assert {True, False} <= {on_faces for on_faces, _ in sides}
+    assert {-1, 0, 1} <= {where for _, where in sides}
+
+
+def test_rank_check_guards_both_routes(monkeypatch):
+    # a dropped pivot is a library bug: InvariantError, in a direct degree
+    # (2d <= n) and in a complemented one, whichever side eliminates
+    monkeypatch.setattr(gfp, "pivot_columns", lambda M, p: list(range(M.shape[0] - 1)))
+    cx = random_facet_complex(random.Random(13), 8)
+    phi = random_gl(8, P, 5)
+    for d in (3, 6):  # both slices are neither empty nor full
+        slice_d = ideal_degree_slice(cx, d)
+        for on_faces in (False, True):
+            with pytest.raises(InvariantError, match="must be independent"):
+                exterior._eliminate(slice_d, d, phi, on_faces)
 
 
 def test_gin_builds_each_slice_once(monkeypatch):
@@ -322,4 +389,7 @@ def test_errors_exported_from_the_package():
 
     assert issubclass(shiftlab.GenericityError, shiftlab.ShiftlabError)
     assert shiftlab.GenericityError is exterior.GenericityError
-    assert {"GenericityError", "ShiftlabError"} <= set(shiftlab.__all__)
+    # an invariant failure is a library bug, not a refusal
+    assert issubclass(InvariantError, AssertionError) and not issubclass(InvariantError, ShiftlabError)
+    assert shiftlab.InvariantError is complexes.InvariantError
+    assert {"GenericityError", "InvariantError", "ShiftlabError"} <= set(shiftlab.__all__)
