@@ -110,27 +110,22 @@ def revlex_column_order(n: int, d: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _wedge_step(n: int, k: int):
-    """Scatter tables for one wedge step from degree k to k+1.
+    """Gather tables for one wedge step from degree k to k+1.
 
     For each (k+1)-subset c' (in column order) and each position q of an
     element e in c', the contribution is sign * cur[c' - e] * row[e],
-    sign = (-1)^(k - q).  Returns (old_idx, elem_idx, sign, offsets)
-    where entries are grouped per target subset for np.add.reduceat.
+    sign = (-1)^(k - q).  Returns one (old_idx, elem_idx) pair of tables
+    per position, indexed by the target subsets, from the last position
+    q = k to the first, so the i-th pair has sign (-1)^i.
     """
     small = {m: idx for idx, m in enumerate(revlex_column_order(n, k))}
-    old_idx, elem_idx, signs = [], [], []
-    for mask in revlex_column_order(n, k + 1):
-        for q, e in enumerate(members_of(mask)):
-            old_idx.append(small[mask ^ (1 << (e - 1))])
-            elem_idx.append(e - 1)
-            signs.append((-1) ** (k - q))
-    offsets = np.arange(0, len(old_idx), k + 1)
-    return (
-        np.asarray(old_idx, dtype=np.intp),
-        np.asarray(elem_idx, dtype=np.intp),
-        np.asarray(signs, dtype=np.float64),
-        offsets,
-    )
+    targets = [(mask, members_of(mask)) for mask in revlex_column_order(n, k + 1)]
+    steps = []
+    for q in range(k, -1, -1):
+        elems = [c[q] for _, c in targets]
+        old_idx = [small[mask ^ (1 << (e - 1))] for (mask, _), e in zip(targets, elems)]
+        steps.append((np.asarray(old_idx, dtype=np.intp), np.asarray(elems, dtype=np.intp) - 1))
+    return tuple(steps)
 
 
 def phi_image_matrix(
@@ -144,6 +139,12 @@ def phi_image_matrix(
     revlex-descending; returns (matrix, column masks).  Raises
     ValueError unless p passes ``gfp.check_field`` and every row is a
     d-subset of [n].
+
+    The minors are built by d wedge steps, one row of g at a time.
+    Step k adds its k+1 <= n signed terms, each the product of two
+    residues and so below p**2 in absolute value, straight into the
+    next degree's array.  For n <= 64 such a sum stays below 64 * p**2,
+    inside the 2**53 that ``gfp.check_field`` keeps for 128 terms.
     """
     gfp.check_field(p)
     n = g.shape[0]
@@ -165,10 +166,16 @@ def phi_image_matrix(
         block = sigmas[lo:hi]
         cur = np.ones((hi - lo, 1), dtype=np.float64)
         for k in range(d):
-            old_idx, elem_idx, signs, offsets = _wedge_step(n, k)
             rows_k = G[block[:, k] - 1, :]  # (B, n)
-            contrib = cur[:, old_idx] * rows_k[:, elem_idx] * signs
-            cur = np.add.reduceat(contrib, offsets, axis=1) % p
+            for i, (old_idx, elem_idx) in enumerate(_wedge_step(n, k)):
+                term = cur[:, old_idx] * rows_k[:, elem_idx]
+                if i == 0:
+                    nxt = term
+                elif i % 2:
+                    nxt -= term
+                else:
+                    nxt += term
+            cur = nxt % p
         rows_out[lo:hi] = cur
 
     return rows_out, col_masks

@@ -198,6 +198,55 @@ def brute_pivot_columns(rows, p):
     return pivots
 
 
+def columnwise_pivot_columns(mat, p):
+    """Left-to-right elimination mod p one column at a time, over every
+    row and every column: the oracle for ``gfp.pivot_columns`` on shapes
+    too large for ``brute_pivot_columns``.
+
+    Pivot k writes column k of F and row k of R; each column is
+    corrected by F @ R on demand, and the whole matrix is updated when
+    the panel of min(gfp._PANEL, m) pivots is full.
+    """
+    gfp.check_field(p)
+    M = np.ascontiguousarray(np.asarray(mat) % p, dtype=np.float64)
+    m, nc = M.shape
+    if m == 0 or nc == 0:
+        return []
+    w = min(gfp._PANEL, m)
+    F = np.zeros((m, w))
+    R = np.zeros((w, nc))
+    k = 0
+    pivots = []
+    eligible = np.ones(m, dtype=bool)
+    for c in range(nc):
+        col = M[:, c]
+        if k:
+            col = (col - F[:, :k] @ R[:k, c]) % p
+        cand = np.nonzero(eligible & (col != 0))[0]
+        if cand.size == 0:
+            continue
+        t = int(cand[0])
+        pivots.append(c)
+        if len(pivots) == m:
+            break
+        eligible[t] = False
+        R[k] = (M[t] - F[t, :k] @ R[:k]) % p if k else M[t]
+        F[:, k] = col * pow(int(col[t]), p - 2, p) % p
+        k += 1
+        if k == w:
+            M = (M - F @ R) % p
+            k = 0
+    return pivots
+
+
+def laplace_det(a):
+    """Determinant of a square list of Python ints by Laplace expansion
+    along the first row: exact at any size of entry."""
+    if not a:
+        return 1
+    return sum((-1) ** j * x * laplace_det([row[:j] + row[j + 1 :] for row in a[1:]]) for j, x in enumerate(a[0]) if x)
+
+
 def direct_eliminate(slice_d, d, phi, on_faces):
     """Degree-d gin monomials of one draw from the degree-d compound
     matrix itself, on either side: the oracle for the library's

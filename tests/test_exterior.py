@@ -29,7 +29,7 @@ from shiftlab.complexes import RELAXED
 from shiftlab.exterior import GenericMatrix
 from shiftlab.faces import all_faces, binom
 from shiftlab.verify import random_complex
-from support import direct_eliminate
+from support import direct_eliminate, laplace_det
 
 P = 32003
 
@@ -104,6 +104,27 @@ def test_phi_image_minor_example():
     want = int(g[0, 0] * g[2, 1] - g[0, 1] * g[2, 0]) % P
     col = cols.index(mask_of([1, 2]))
     assert int(M[0, col]) % P == want
+
+
+@pytest.mark.parametrize("row_block", [3, None])
+@pytest.mark.parametrize("p", [2, 3, P, 8388593])
+def test_phi_image_matches_exact_integer_minors(monkeypatch, row_block, p):
+    # every row and degree at n <= 6, against d x d minors of the
+    # unreduced integer matrix, reduced mod p only at the end
+    if row_block is not None:
+        monkeypatch.setattr(exterior, "_ROW_BLOCK", row_block)
+    rng = np.random.default_rng(p)
+    for n in range(1, 7):
+        g = rng.integers(-3 * p, 3 * p, size=(n, n))
+        entries = g.tolist()
+        for d in range(1, n + 1):
+            rows = exterior.revlex_column_order(n, d)
+            M, cols = phi_image_matrix(rows, d, g, p)
+            assert M.shape == (len(rows), len(cols))
+            for r, sigma in enumerate(rows):
+                for c, tau in enumerate(cols):
+                    minor = [[entries[i - 1][j - 1] for j in members_of(tau)] for i in members_of(sigma)]
+                    assert int(M[r, c]) == laplace_det(minor) % p
 
 
 def test_phi_image_refuses_rows_that_are_not_d_subsets():

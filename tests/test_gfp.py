@@ -1,11 +1,14 @@
+import functools
+
 import numpy as np
 import pytest
 
 from shiftlab import gfp
 
-from support import brute_pivot_columns
+from support import brute_pivot_columns, columnwise_pivot_columns
 
-PRIMES = (2, 3, 32003)
+# 8388593 is the largest prime that check_field admits
+PRIMES = (2, 3, 32003, 8388593)
 
 
 def planted(rng, m, nc, r, p):
@@ -15,14 +18,27 @@ def planted(rng, m, nc, r, p):
     return a
 
 
+def late_pivots(rng, m, nc, p):
+    """A wide m x nc matrix, the shape ``gin`` eliminates: its first two
+    thirds of columns are nonzero but span rank at most 2, so most
+    pivots come late."""
+    a = rng.integers(0, p, size=(m, nc))
+    s = 2 * nc // 3
+    a[:, :s] = rng.integers(0, p, size=(m, 2)) @ rng.integers(0, p, size=(2, s)) % p
+    return a
+
+
+@functools.cache
 def corpus(p):
     rng = np.random.default_rng(p)
     mats = [np.zeros((0, 0)), np.zeros((0, 5)), np.zeros((4, 0)), np.zeros((6, 7)), np.eye(3)]
-    for m, nc in ((1, 1), (3, 9), (9, 3), (12, 12), (20, 50), (40, 50), (40, 30)):
+    for m, nc in ((1, 1), (3, 9), (9, 3), (12, 12), (20, 50), (40, 50), (40, 30), (30, 8)):
         for r in sorted({0, 1, min(m, nc) // 2, min(m, nc)}):
             mats.append(planted(rng, m, nc, r, p))
         mats.append(rng.integers(0, p, size=(m, nc)))
-    return mats
+    for m, nc in ((2, 40), (5, 60), (8, 45)):
+        mats.append(late_pivots(rng, m, nc, p))
+    return [(mat, brute_pivot_columns(mat.astype(int).tolist(), p)) for mat in mats]
 
 
 @pytest.mark.parametrize("panel", [1, 2, 5, None])
@@ -30,9 +46,45 @@ def corpus(p):
 def test_pivot_columns_matches_pure_python_elimination(monkeypatch, panel, p):
     if panel is not None:
         monkeypatch.setattr(gfp, "_PANEL", panel)
-    full_rank_seen = 0
-    for mat in corpus(p):
-        want = brute_pivot_columns(mat.astype(int).tolist(), p)
+    full_rank_seen = late_seen = 0
+    for scan in (1, 3, gfp._SCAN):
+        monkeypatch.setattr(gfp, "_SCAN", scan)
+        for mat, want in corpus(p):
+            assert gfp.pivot_columns(mat, p) == want
+            full_rank_seen += 0 < len(want) == min(mat.shape)
+            late_seen += len(want) > 2 and want[2] >= 2 * mat.shape[1] // 3
+    assert full_rank_seen >= 15
+    assert late_seen >= 9
+
+
+@pytest.mark.parametrize("panel, scan", [(7, 5), (12, 2), (None, None)])
+@pytest.mark.parametrize("p", PRIMES)
+def test_pivot_columns_matches_columnwise_elimination_on_large_shapes(monkeypatch, panel, scan, p):
+    if panel is not None:
+        monkeypatch.setattr(gfp, "_PANEL", panel)
+        monkeypatch.setattr(gfp, "_SCAN", scan)
+    rng = np.random.default_rng(p + 1)
+    mats = [
+        planted(rng, 150, 260, 90, p),  # rank below both sides, live rows left over
+        planted(rng, 220, 90, 90, p),  # tall, m > nc
+        late_pivots(rng, 40, 400, p),  # wide with late pivots
+        rng.integers(0, p, size=(120, 200)),
+    ]
+    for mat in mats:
+        want = columnwise_pivot_columns(mat, p)
         assert gfp.pivot_columns(mat, p) == want
-        full_rank_seen += 0 < len(want) == min(mat.shape)
-    assert full_rank_seen >= 5
+        if panel is not None:
+            # the matrix crosses several blocks and several panel flushes
+            assert len(want) > 3 * gfp._PANEL and mat.shape[1] > 3 * gfp._SCAN
+
+
+def test_integer_entries_are_reduced_before_the_float_cast():
+    big = [[2**60 + 1, 1], [1, 1]]  # 2**60 + 1 = 2 mod 3; float64 rounds it to 2**60 = 1 mod 3
+    assert gfp.pivot_columns(big, 3) == [0, 1]
+    inv = gfp.inverse(big, 3)
+    assert (np.array([[2, 1], [1, 1]]) @ inv % 3 == np.eye(2)).all()
+    huge = [[2**70, 3**50], [-(2**65), 1]]  # past int64: a numpy object array
+    want = brute_pivot_columns(huge, 5)
+    assert gfp.pivot_columns(huge, 5) == want == [0, 1]
+    reduced = [[x % 5 for x in row] for row in huge]
+    assert (gfp.inverse(huge, 5) == gfp.inverse(reduced, 5)).all()
