@@ -1,8 +1,15 @@
-"""Simplicial complexes on [n] with full face-set storage.
+"""Simplicial complexes on [n] with full face-set storage and a bit view.
 
 Complexes are immutable: the face family is a frozenset of bitmasks and
 every operation returns a new value, so instances are safe to share
 across threads.
+
+For n <= MAX_WALK_N a complex also has a cached bit view ``bits``: one
+2^n-bit integer whose bit f is set iff mask f is a face.  Shiftedness,
+the exchange operators of ``shifting`` and the degree slices of I_Delta
+run on it as a few big-integer operations against cached indicator
+integers: H_v (the masks containing v), A_ij = H_i & ~H_j and L_d (the
+masks with d members).
 
 Strict mode is the usual convention that every singleton {j}, j in [n],
 is a face.  Relaxed mode drops that requirement; it exists so that
@@ -14,9 +21,11 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .faces import MAX_GROUND_SET, all_faces, mask_of, members_of, subsets_of
 
@@ -24,7 +33,8 @@ STRICT = "strict"
 RELAXED = "relaxed"
 
 # Hochster's sum, the degree slices of I_Delta and the lex segments each
-# walk all 2^n vertex subsets, so their work doubles with every vertex.
+# walk all 2^n vertex subsets, and the bit view of a complex has 2^n bits,
+# so their work doubles with every vertex.
 MAX_WALK_N = 20
 
 
@@ -84,6 +94,68 @@ class SimplicialComplex:
 
     def __contains__(self, mask: int) -> bool:
         return mask in self.faces
+
+    @cached_property
+    def bits(self) -> int:
+        """The face set as one 2^n-bit integer: bit f is set iff mask f
+        is a face.  Refuses n > MAX_WALK_N."""
+        check_walk_size(self.n)
+        present = np.zeros(1 << self.n, dtype=bool)
+        present[np.fromiter(self.faces, dtype=np.intp, count=len(self.faces))] = True
+        return int.from_bytes(np.packbits(present, bitorder="little").tobytes(), "little")
+
+
+def _masks_of(bits: int) -> frozenset[int]:
+    """The masks f whose bit f is set in ``bits``."""
+    raw = np.frombuffer(bits.to_bytes((bits.bit_length() + 7) >> 3, "little"), dtype=np.uint8)
+    return frozenset(np.flatnonzero(np.unpackbits(raw, bitorder="little").view(bool)).tolist())
+
+
+def _from_bits(n: int, bits: int) -> SimplicialComplex:
+    """The strict complex on [n] whose bit view is ``bits``, with that
+    view already cached."""
+    cx = SimplicialComplex(n, _masks_of(bits), STRICT)
+    cx.__dict__["bits"] = bits
+    return cx
+
+
+# The indicator integers are cached per (n, ...); n <= MAX_WALK_N bounds
+# each entry at 2^20 bits (128 KB).
+
+
+@lru_cache(maxsize=None)
+def _vertex_bits(n: int, v: int) -> int:
+    """H_v: bit f is set iff the mask f < 2^n contains vertex v.
+
+    The bits repeat with period 2^v, 2^(v-1) clear then 2^(v-1) set: a
+    division puts one set bit at the start of every period and a
+    product fills the upper half of each."""
+    half = 1 << (v - 1)
+    starts = ((1 << (1 << n)) - 1) // ((1 << (2 * half)) - 1)
+    return starts * (((1 << half) - 1) << half)
+
+
+@lru_cache(maxsize=None)
+def _exchange_bits(n: int, i: int, j: int) -> int:
+    """A_ij: bit f is set iff the mask f < 2^n contains i and not j."""
+    return _vertex_bits(n, i) & ~_vertex_bits(n, j)
+
+
+@lru_cache(maxsize=None)
+def _layer_bits(n: int, d: int) -> int:
+    """L_d: bit f is set iff the mask f < 2^n has d members.  The masks
+    without vertex n are L_d on [n-1]; those with it are L_(d-1) on
+    [n-1], raised by 2^(n-1)."""
+    if not 0 <= d <= n:
+        return 0
+    if n == 0:
+        return 1
+    return _layer_bits(n - 1, d) | _layer_bits(n - 1, d - 1) << (1 << (n - 1))
+
+
+def _shifted_bits(n: int, bits: int) -> bool:
+    """``is_shifted`` on a bit view: no cover move i -> i+1 leaves it."""
+    return not any(((bits & _exchange_bits(n, i, i + 1)) << (1 << (i - 1))) & ~bits for i in range(1, n))
 
 
 def _closure(masks: Iterable[int]) -> frozenset[int]:
@@ -196,15 +268,13 @@ def is_shifted(cx: SimplicialComplex) -> bool:
     i -> j is a chain of them through faces (walk the largest member
     of sigma below j up to j, then the next one up into the slot it
     left, and so on down to i).
+
+    On the bit view the faces that hold i and not i+1 are bits & A_(i,i+1),
+    and the move adds 2^(i-1) to each of their masks.
     """
     if cx.mode != STRICT:
         raise ValueError("shiftedness is defined for strict-mode complexes")
-    faces = cx.faces
-    for f in faces:
-        for i in range(cx.n - 1):
-            if f >> i & 1 and not f >> (i + 1) & 1 and f ^ (3 << i) not in faces:
-                return False
-    return True
+    return _shifted_bits(cx.n, cx.bits)
 
 
 def minimal_nonfaces(cx: SimplicialComplex) -> list[int]:
@@ -224,10 +294,11 @@ def minimal_nonfaces(cx: SimplicialComplex) -> list[int]:
 
 
 def ideal_degree_slice(cx: SimplicialComplex, d: int) -> frozenset[int]:
-    """All d-subsets of [n] that are not faces: the degree-d part of I_Delta."""
+    """All d-subsets of [n] that are not faces: the degree-d part of I_Delta,
+    read off the bit view as L_d & ~bits."""
     if not 0 <= d <= cx.n:
         raise ValueError("degree out of range")
-    return frozenset(all_faces(cx.n, d)) - cx.faces
+    return _masks_of(_layer_bits(cx.n, d) & ~cx.bits)
 
 
 def ideal_slices(cx: SimplicialComplex) -> dict[int, frozenset[int]]:

@@ -1,11 +1,11 @@
 """Exact dense linear algebra over GF(p).
 
-Matrices are numpy arrays holding integer values reduced mod p; integer
-input is reduced before it is cast, so entries of any size get exact
-residues.  All arithmetic is done in float64.  Entries stay below p,
-and p must be a prime with _PANEL * (p-1)**2 + p < 2**53 (hence
-p <= 2**23), so every intermediate product sum is an exactly
-represented integer.
+Matrices are 2-D with integer or bool entries, held as numpy arrays of
+values reduced mod p; integer input is reduced before it is cast, so
+entries of any size get exact residues.  All arithmetic is done in
+float64.  Entries stay below p, and p must be a prime with
+_PANEL * (p-1)**2 + p < 2**53 (hence p <= 2**23), so every
+intermediate product sum is an exactly represented integer.
 
 The primitive behind every rank and pivot set is :func:`pivot_columns`:
 Gaussian elimination with a fixed left-to-right column order, returning
@@ -45,10 +45,18 @@ def check_field(p: int) -> None:
 def _residues(mat, p: int) -> np.ndarray:
     """``mat`` reduced mod p as a contiguous float64 array.
 
-    Integer entries are reduced before the cast, so an entry of 2**53 or
-    more still gets its exact residue.
+    Refuses input that is not 2-D or whose entries are not integers or
+    bools; the dtype decides, so only an object array is read entry by
+    entry.  Integer entries are reduced before the cast, so an entry of
+    2**53 or more still gets its exact residue.
     """
-    return np.ascontiguousarray(np.asarray(mat) % p, dtype=np.float64)
+    a = np.asarray(mat)
+    if a.ndim != 2:
+        raise ValueError(f"a matrix must be 2-D, not {a.ndim}-D")
+    if a.size and a.dtype.kind not in "biu":
+        if a.dtype.kind != "O" or not all(isinstance(x, (int, np.integer, np.bool_)) for x in a.flat):
+            raise ValueError(f"matrix entries must be integers or bools, not {a.dtype}")
+    return np.ascontiguousarray(a % p, dtype=np.float64)
 
 
 def pivot_columns(mat, p: int) -> list[int]:

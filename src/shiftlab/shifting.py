@@ -5,6 +5,12 @@ is not already a face.  Iterating such steps until the complex is
 shifted produces a combinatorial shifted complex; different step orders
 may produce different results, which ``enumerate_shifted`` explores
 exhaustively.
+
+Every operator here runs on a complex's bit view (``SimplicialComplex.bits``,
+one 2^n-bit integer), so each C_ij is a handful of big-integer
+operations rather than a loop over the faces, and a search state is one
+integer.  The bit view, and with it all of shifting, is defined for
+n <= MAX_WALK_N (20).
 """
 
 from __future__ import annotations
@@ -12,7 +18,15 @@ from __future__ import annotations
 import random
 from typing import Iterable
 
-from .complexes import STRICT, InvariantError, ShiftlabError, SimplicialComplex, is_shifted
+from .complexes import (
+    STRICT,
+    InvariantError,
+    ShiftlabError,
+    SimplicialComplex,
+    _exchange_bits,
+    _from_bits,
+    _shifted_bits,
+)
 
 ShiftSequence = tuple[tuple[int, int], ...]
 
@@ -22,39 +36,42 @@ def _check_pair(n: int, i: int, j: int) -> None:
         raise ValueError(f"pair ({i},{j}) out of range for n={n}")
 
 
+def _exchange(n: int, bits: int, i: int, j: int) -> int:
+    """C_ij on a bit view; ``bits`` itself when no face moves.
+
+    Every face that holds i and not j (bits & A_ij) has its image
+    exactly delta = 2^(j-1) - 2^(i-1) bits higher; ``moved`` keeps the
+    images that are not faces, and the exchange sets them and clears
+    their preimages.
+    """
+    delta = (1 << (j - 1)) - (1 << (i - 1))
+    moved = ((bits & _exchange_bits(n, i, j)) << delta) & ~bits
+    if not moved:
+        return bits
+    out = bits ^ moved ^ (moved >> delta)
+    # each moved image has its own preimage, so the face count must not change
+    if out.bit_count() != bits.bit_count():
+        raise InvariantError("C_ij must be injective on faces")
+    return out
+
+
 def shift_ij(cx: SimplicialComplex, i: int, j: int) -> SimplicialComplex:
     """Apply the exchange operator C_ij to every face.
 
     C_ij(sigma) = (sigma - i) + j when i is in sigma, j is not, and the
     exchanged set is not already a face; otherwise sigma is kept.  The
-    input itself is returned when no face moves.
+    input itself is returned when no face moves.  Runs on the bit view,
+    so n must be at most MAX_WALK_N.
     """
     if cx.mode != STRICT:
         raise ValueError("shifting requires a strict-mode complex")
     _check_pair(cx.n, i, j)
-    bi, bj = 1 << (i - 1), 1 << (j - 1)
-    flip = bi | bj
-    faces = cx.faces
-    moved = {f ^ flip for f in faces if f & flip == bi} - faces
-    if not moved:
-        return cx
-    out = (faces - {m ^ flip for m in moved}) | moved
-    # downward closure is a theorem for C_ij; check it cheaply
-    if len(out) != len(faces):
-        raise InvariantError("C_ij must be injective on faces")
-    return SimplicialComplex(cx.n, frozenset(out), STRICT)
+    out = _exchange(cx.n, cx.bits, i, j)
+    return cx if out == cx.bits else _from_bits(cx.n, out)
 
 
 def _all_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
-
-
-def _moves(faces: frozenset[int], i: int, j: int) -> bool:
-    """Whether C_ij changes the face set: some face holds i, not j, and
-    its exchanged image is not a face.  Stops at the first such face."""
-    bi = 1 << (i - 1)
-    flip = bi | 1 << (j - 1)
-    return any(f & flip == bi and f ^ flip not in faces for f in faces)
 
 
 def shift_to_shifted(
@@ -67,25 +84,26 @@ def shift_to_shifted(
     (deterministic), ``random`` a seeded uniform choice among them.  No
     pair changes the complex exactly when it is shifted, which ends the
     loop.  Returns the shifted complex and the replayable sequence.
+    The steps run on the bit view, so n must be at most MAX_WALK_N.
     """
     if cx.mode != STRICT:
         raise ValueError("shifting requires a strict-mode complex")
     if strategy not in ("sweep", "random"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    n = cx.n
     rng = random.Random(seed)
-    max_steps = 10 * cx.n * cx.n * len(cx.faces)
-    pairs = _all_pairs(cx.n)
+    max_steps = 10 * n * n * len(cx.faces)
+    pairs = _all_pairs(n)
     seq: list[tuple[int, int]] = []
-    cur = cx
-    while moving := [(i, j) for i, j in pairs if _moves(cur.faces, i, j)]:
+    state = cx.bits
+    while moving := [(i, j, nxt) for i, j in pairs if (nxt := _exchange(n, state, i, j)) != state]:
         if len(seq) >= max_steps:
             raise ShiftlabError("shift iteration limit exceeded")
-        i, j = moving[0] if strategy == "sweep" else moving[rng.randrange(len(moving))]
-        cur = shift_ij(cur, i, j)
+        i, j, state = moving[0] if strategy == "sweep" else moving[rng.randrange(len(moving))]
         seq.append((i, j))
-    if not is_shifted(cur):
+    if not _shifted_bits(n, state):
         raise InvariantError("no pair moves, yet the complex is not shifted")
-    return cur, tuple(seq)
+    return (_from_bits(n, state) if seq else cx), tuple(seq)
 
 
 def replay(cx: SimplicialComplex, seq: Iterable[tuple[int, int]]) -> SimplicialComplex:
@@ -105,30 +123,32 @@ def enumerate_shifted(
 
     Breadth-first closure over every intermediate state (a non-shifted
     intermediate may lead to shifted states unreachable otherwise),
-    memoized on the exact face-set encoding.  Raises if more than
-    ``state_limit`` states are visited.
+    memoized on the bit view, which is the exact face-set encoding, so
+    n must be at most MAX_WALK_N.  Raises if more than ``state_limit``
+    states are visited.
     """
     if cx.mode != STRICT:
         raise ValueError("shifting requires a strict-mode complex")
-    pairs = candidate_pairs if candidate_pairs is not None else _all_pairs(cx.n)
+    n = cx.n
+    pairs = candidate_pairs if candidate_pairs is not None else _all_pairs(n)
     for i, j in pairs:
-        _check_pair(cx.n, i, j)
-    visited = {cx.faces}
-    frontier = [cx]
-    shifted_out: set[SimplicialComplex] = set()
+        _check_pair(n, i, j)
+    visited = {cx.bits}
+    frontier = [cx.bits]
+    shifted_out: set[int] = set()
     while frontier:
         nxt_frontier = []
         for state in frontier:
-            moved = [nxt for i, j in pairs if (nxt := shift_ij(state, i, j)) is not state]
+            moved = [nxt for i, j in pairs if (nxt := _exchange(n, state, i, j)) != state]
             # a shifted complex is fixed by every C_ij: only a state no pair moves can be one
-            if not moved and is_shifted(state):
+            if not moved and _shifted_bits(n, state):
                 shifted_out.add(state)
             for nxt in moved:
-                if nxt.faces in visited:
+                if nxt in visited:
                     continue
                 if len(visited) >= state_limit:
                     raise ShiftlabError("enumerate_shifted state limit exceeded")
-                visited.add(nxt.faces)
+                visited.add(nxt)
                 nxt_frontier.append(nxt)
         frontier = nxt_frontier
-    return shifted_out
+    return {_from_bits(n, state) for state in shifted_out}

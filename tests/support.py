@@ -10,11 +10,9 @@ from shiftlab import (
     SimplicialComplex,
     boundary_matrix,
     from_faces,
-    is_shifted,
     mask_of,
     members_of,
     phi_image_matrix,
-    shift_ij,
 )
 from shiftlab import gfp
 from shiftlab.exterior import revlex_column_order
@@ -92,10 +90,12 @@ def brute_shift_ij(cx: SimplicialComplex, i: int, j: int) -> SimplicialComplex:
     return SimplicialComplex(cx.n, frozenset(out), STRICT)
 
 
-def brute_enumerate_shifted(cx: SimplicialComplex, pairs):
+def brute_enumerate_shifted(cx: SimplicialComplex, pairs, state_limit=None):
     """Every state reachable by ``brute_shift_ij`` steps over ``pairs``,
     kept when ``brute_is_shifted`` holds; every state is tested, whether
-    or not some pair still moves it."""
+    or not some pair still moves it.  Raises ``RuntimeError`` when more
+    than ``state_limit`` states are reachable, whatever the visiting
+    order."""
     seen = {cx.faces: cx}
     todo = [cx]
     while todo:
@@ -103,6 +103,8 @@ def brute_enumerate_shifted(cx: SimplicialComplex, pairs):
         for i, j in pairs:
             nxt = brute_shift_ij(state, i, j)
             if nxt.faces not in seen:
+                if state_limit is not None and len(seen) >= state_limit:
+                    raise RuntimeError("state limit exceeded")
                 seen[nxt.faces] = nxt
                 todo.append(nxt)
     return {state for state in seen.values() if brute_is_shifted(state)}
@@ -134,7 +136,8 @@ def s_ij_zero(slices, i, j):
 
 
 def brute_shift_to_shifted(cx: SimplicialComplex, strategy: str = "sweep", seed: int = 0):
-    """One loop per strategy, each applying full C_ij shifts.
+    """One loop per strategy, each applying full C_ij shifts face by face
+    (``brute_shift_ij``, ``brute_is_shifted``).
 
     ``sweep`` scans the pairs in lexicographic order, applies the first
     that changes the complex and restarts, until the complex is shifted;
@@ -147,10 +150,10 @@ def brute_shift_to_shifted(cx: SimplicialComplex, strategy: str = "sweep", seed:
     cur = cx
     steps = 0
     if strategy == "sweep":
-        while not is_shifted(cur):
+        while not brute_is_shifted(cur):
             changed = False
             for i, j in pairs:
-                nxt = shift_ij(cur, i, j)
+                nxt = brute_shift_ij(cur, i, j)
                 steps += 1
                 if steps > max_steps:
                     raise RuntimeError("shift iteration limit exceeded")
@@ -166,7 +169,7 @@ def brute_shift_to_shifted(cx: SimplicialComplex, strategy: str = "sweep", seed:
         while True:
             moves = []
             for i, j in pairs:
-                nxt = shift_ij(cur, i, j)
+                nxt = brute_shift_ij(cur, i, j)
                 if nxt.faces != cur.faces:
                     moves.append(((i, j), nxt))
             if not moves:

@@ -89,7 +89,14 @@ def test_verify_refuses_n_above_20_before_any_trial(monkeypatch, seed, capsys):
 
 @pytest.mark.parametrize(
     "command, flags",
-    [("lex", []), ("gin", []), ("betti", []), ("betti", ["--method", "shifted"])],
+    [
+        ("lex", []),
+        ("gin", []),
+        ("betti", []),
+        ("betti", ["--method", "shifted"]),
+        ("shift", ["--auto", "sweep"]),
+        ("enumerate", []),
+    ],
 )
 def test_subset_walks_refuse_n_above_20(monkeypatch, tmp_path, command, flags, capsys):
     def no_walk(*args):

@@ -22,6 +22,7 @@ from shiftlab import (
 )
 from shiftlab import complexes
 from shiftlab.complexes import RELAXED, STRICT, from_nonfaces
+from shiftlab.section4 import section4_build
 from shiftlab.verify import random_complex
 
 from support import all_strict_complexes, brute_is_shifted
@@ -172,6 +173,49 @@ def test_is_shifted_matches_brute_force():
     for n in range(1, 6):
         for cx in all_strict_complexes(n):
             assert is_shifted(cx) == brute_is_shifted(cx)
+
+
+# bit f of the view is face f; at n <= 2 the view is shorter than one byte
+@pytest.mark.parametrize(
+    "cx, bits",
+    [
+        (from_facets(1, [], mode=RELAXED), 0b1),
+        (from_facets(1, [[1]]), 0b11),
+        (from_facets(2, [[1], [2]]), 0b0111),
+        (from_facets(2, [[1, 2]]), 0b1111),
+        (from_facets(3, [[1, 2], [3]]), 0b00011111),
+        (from_facets(3, [[2, 3], [1]]), 0b01010111),
+        (from_facets(3, [[1, 3], [2, 3]]), 0b01110111),
+        (full_simplex(3), 0b11111111),
+    ],
+)
+def test_bit_view_round_trip_below_a_byte(cx, bits):
+    assert cx.bits == bits == sum(1 << f for f in cx.faces)
+    assert complexes._masks_of(bits) == cx.faces
+
+
+def test_bit_view_round_trip_at_15_and_20_vertices():
+    cx = section4_build()
+    assert cx.bits == sum(1 << f for f in cx.faces)
+    assert complexes._masks_of(cx.bits) == cx.faces
+    simplex = full_simplex(20)
+    assert simplex.bits == (1 << (1 << 20)) - 1
+    assert complexes._masks_of(simplex.bits) == simplex.faces
+    points = from_facets(20, [[v] for v in range(1, 21)])
+    assert points.bits == 1 | sum(1 << (1 << v) for v in range(20))
+    assert complexes._masks_of(points.bits) == points.faces
+
+
+def test_indicator_integers_and_ideal_slices_match_their_definitions():
+    for n in range(1, 7):
+        for v in range(1, n + 1):
+            assert complexes._vertex_bits(n, v) == sum(1 << f for f in range(1 << n) if f >> (v - 1) & 1)
+        for d in range(n + 1):
+            assert complexes._layer_bits(n, d) == sum(1 << f for f in range(1 << n) if f.bit_count() == d)
+    for cx in _corpus():
+        for d in range(cx.n + 1):
+            want = {m for m in range(1 << cx.n) if m.bit_count() == d and m not in cx.faces}
+            assert ideal_degree_slice(cx, d) == want
 
 
 def test_minimal_nonfaces():

@@ -279,7 +279,7 @@ def test_gfp_inverse_oracle():
     with pytest.raises(gfp.SingularMatrixError):
         gfp.inverse([[2, 1], [1, 3]], 5)  # determinant 5
     with pytest.raises(ValueError):
-        gfp.inverse(np.ones((2, 3)), P)
+        gfp.inverse(np.ones((2, 3), dtype=int), P)
 
 
 def test_random_gl_refuses_bad_field_before_drawing():

@@ -31,7 +31,7 @@ def late_pivots(rng, m, nc, p):
 @functools.cache
 def corpus(p):
     rng = np.random.default_rng(p)
-    mats = [np.zeros((0, 0)), np.zeros((0, 5)), np.zeros((4, 0)), np.zeros((6, 7)), np.eye(3)]
+    mats = [np.zeros((0, 0)), np.zeros((0, 5)), np.zeros((4, 0)), np.zeros((6, 7), dtype=int), np.eye(3, dtype=int)]
     for m, nc in ((1, 1), (3, 9), (9, 3), (12, 12), (20, 50), (40, 50), (40, 30), (30, 8)):
         for r in sorted({0, 1, min(m, nc) // 2, min(m, nc)}):
             mats.append(planted(rng, m, nc, r, p))
@@ -88,3 +88,28 @@ def test_integer_entries_are_reduced_before_the_float_cast():
     assert gfp.pivot_columns(huge, 5) == want == [0, 1]
     reduced = [[x % 5 for x in row] for row in huge]
     assert (gfp.inverse(huge, 5) == gfp.inverse(reduced, 5)).all()
+
+
+@pytest.mark.parametrize(
+    "mat",
+    [
+        [[1.5, 2]],
+        np.eye(2),
+        [[2**70, 0.5], [1, 1]],  # an object array holding a float
+        [1, 2],
+        np.ones((2, 2, 2), dtype=int),
+        3,
+    ],
+    ids=["float-list", "float-array", "object-float", "1-D", "3-D", "scalar"],
+)
+def test_non_integer_or_non_2d_input_is_refused(mat):
+    with pytest.raises(ValueError, match="matrix"):
+        gfp.pivot_columns(mat, 3)
+    with pytest.raises(ValueError, match="matrix"):
+        gfp.inverse(mat, 3)
+
+
+def test_bool_and_empty_input_is_accepted():
+    assert gfp.pivot_columns([[False, True], [True, True]], 2) == [0, 1]
+    assert (gfp.inverse(np.array([[True, False], [True, True]]), 2) == [[1, 0], [1, 1]]).all()
+    assert gfp.pivot_columns([[]], 3) == []

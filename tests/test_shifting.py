@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shiftlab import (
+    InvariantError,
+    ShiftlabError,
     enumerate_shifted,
     f_vector,
     from_facets,
@@ -15,16 +17,21 @@ from shiftlab import (
     shift_ij,
     shift_to_shifted,
 )
+from shiftlab import shifting
 from shiftlab.complexes import RELAXED, SimplicialComplex
 from shiftlab.verify import random_complex
 
 from support import (
     all_strict_complexes,
     brute_enumerate_shifted,
+    brute_is_shifted,
     brute_shift_ij,
     brute_shift_to_shifted,
     s_ij_zero,
 )
+
+# ten seeded complexes at each n = 6, 7, 8, over three densities
+SEEDED = [(n, (0.05, 0.1, 0.2)[t % 3], 1000 * n + t) for n in (6, 7, 8) for t in range(10)]
 
 
 def facet_sets(cx):
@@ -108,6 +115,58 @@ def test_shift_to_shifted_matches_per_strategy_loops():
             assert got[0].faces == want[0].faces
             moved += bool(got[1])
     assert moved >= 100
+
+
+@pytest.mark.parametrize("n, density, seed", SEEDED, ids=[f"n{n}-seed{seed}" for n, _, seed in SEEDED])
+def test_bit_view_matches_face_by_face_oracles(n, density, seed):
+    """shift_ij, is_shifted, shift_to_shifted (both strategies) and
+    enumerate_shifted against the face-by-face oracles of support.py."""
+    cx = random_complex(n, density, seed)
+    assert is_shifted(cx) == brute_is_shifted(cx)
+    for i in range(1, n):
+        for j in range(i + 1, n + 1):
+            got = shift_ij(cx, i, j)
+            assert got == brute_shift_ij(cx, i, j)
+            assert is_shifted(got) == brute_is_shifted(got)
+    for strategy in ("sweep", "random"):
+        got, seq = shift_to_shifted(cx, strategy, seed=seed)
+        want, want_seq = brute_shift_to_shifted(cx, strategy, seed=seed)
+        assert seq == want_seq and got.faces == want.faces
+    # most of these closures run to thousands of states; with a small
+    # limit both sides either finish with the same result or both refuse,
+    # since either refuses exactly when more than the limit are reachable
+    pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+    try:
+        got = enumerate_shifted(cx, state_limit=200)
+    except ShiftlabError:
+        got = None
+    try:
+        want = brute_enumerate_shifted(cx, pairs, state_limit=200)
+    except RuntimeError:
+        want = None
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda cx: shift_ij(cx, 1, 2),
+        lambda cx: shift_to_shifted(cx),
+        lambda cx: enumerate_shifted(cx),
+        is_shifted,
+    ],
+    ids=["shift_ij", "shift_to_shifted", "enumerate_shifted", "is_shifted"],
+)
+def test_shifting_refuses_n_above_20(call):
+    with pytest.raises(ValueError, match="n must be at most 20"):
+        call(from_facets(21, [[v] for v in range(1, 22)]))
+
+
+def test_a_fixed_point_that_is_not_shifted_is_a_library_bug(monkeypatch):
+    # an explicit raise, so it also fires under python -O
+    monkeypatch.setattr(shifting, "_shifted_bits", lambda n, bits: False)
+    with pytest.raises(InvariantError, match="not shifted"):
+        shift_to_shifted(from_facets(3, [[1, 3], [2, 3]]))
 
 
 def test_shift_to_shifted_unknown_strategy():
