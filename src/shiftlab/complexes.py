@@ -8,8 +8,8 @@ For n <= MAX_WALK_N a complex also has a cached bit view ``bits``: one
 2^n-bit integer whose bit f is set iff mask f is a face.  Shiftedness,
 the exchange operators of ``shifting`` and the degree slices of I_Delta
 run on it as a few big-integer operations against cached indicator
-integers: H_v (the masks containing v), A_ij = H_i & ~H_j and L_d (the
-masks with d members).
+integers: H_v (the masks containing v) and L_d (the masks with d
+members).
 
 Strict mode is the usual convention that every singleton {j}, j in [n],
 is a face.  Relaxed mode drops that requirement; it exists so that
@@ -102,7 +102,12 @@ class SimplicialComplex:
         check_walk_size(self.n)
         present = np.zeros(1 << self.n, dtype=bool)
         present[np.fromiter(self.faces, dtype=np.intp, count=len(self.faces))] = True
-        return int.from_bytes(np.packbits(present, bitorder="little").tobytes(), "little")
+        return _pack(present)
+
+
+def _pack(present: np.ndarray) -> int:
+    """The integer whose bit f is set iff present[f] is nonzero."""
+    return int.from_bytes(np.packbits(present, bitorder="little").tobytes(), "little")
 
 
 def _masks_of(bits: int) -> frozenset[int]:
@@ -119,43 +124,52 @@ def _from_bits(n: int, bits: int) -> SimplicialComplex:
     return cx
 
 
-# The indicator integers are cached per (n, ...); n <= MAX_WALK_N bounds
-# each entry at 2^20 bits (128 KB).
+# The indicator integers are cached, one tuple per n and one integer per
+# (n, d): 2n + 1 integers for one n, each of 2^n <= 2^20 bits (128 KB).
+# The bit operations below keep every operand non-negative (x & ~y is
+# written x ^ (x & y)): CPython handles a negative operand of & through
+# two's-complement copies, which nearly doubles the cost of the operation
+# on 2^20-bit operands.
 
 
 @lru_cache(maxsize=None)
-def _vertex_bits(n: int, v: int) -> int:
-    """H_v: bit f is set iff the mask f < 2^n contains vertex v.
+def _vertex_bits(n: int) -> tuple[int, ...]:
+    """(0, H_1, ..., H_n): bit f of H_v is set iff the mask f < 2^n
+    contains vertex v.
 
-    The bits repeat with period 2^v, 2^(v-1) clear then 2^(v-1) set: a
-    division puts one set bit at the start of every period and a
-    product fills the upper half of each."""
-    half = 1 << (v - 1)
-    starts = ((1 << (1 << n)) - 1) // ((1 << (2 * half)) - 1)
-    return starts * (((1 << half) - 1) << half)
-
-
-@lru_cache(maxsize=None)
-def _exchange_bits(n: int, i: int, j: int) -> int:
-    """A_ij: bit f is set iff the mask f < 2^n contains i and not j."""
-    return _vertex_bits(n, i) & ~_vertex_bits(n, j)
+    The bits of H_v repeat with period 2^v, 2^(v-1) clear then 2^(v-1)
+    set; one period is copied onto itself until it fills 2^n bits, in
+    time linear in 2^n."""
+    out = [0]
+    for v in range(1, n + 1):
+        period = 1 << v
+        h = ((1 << (period >> 1)) - 1) << (period >> 1)
+        while period < 1 << n:
+            h |= h << period
+            period <<= 1
+        out.append(h)
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _layer_bits(n: int, d: int) -> int:
-    """L_d: bit f is set iff the mask f < 2^n has d members.  The masks
-    without vertex n are L_d on [n-1]; those with it are L_(d-1) on
-    [n-1], raised by 2^(n-1)."""
-    if not 0 <= d <= n:
-        return 0
-    if n == 0:
-        return 1
-    return _layer_bits(n - 1, d) | _layer_bits(n - 1, d - 1) << (1 << (n - 1))
+    """L_d: bit f is set iff the mask f < 2^n has d members."""
+    return _pack(np.bitwise_count(np.arange(1 << n, dtype=np.uint32)) == d)
+
+
+def _moved(n: int, bits: int, i: int, j: int) -> int:
+    """What C_ij adds to a bit view: bit f + 2^(j-1) - 2^(i-1) for every
+    face f that holds i and not j and whose exchanged image is not a
+    face."""
+    h = _vertex_bits(n)
+    held = bits & h[i]
+    raised = (held ^ (held & h[j])) << ((1 << (j - 1)) - (1 << (i - 1)))
+    return raised ^ (raised & bits)
 
 
 def _shifted_bits(n: int, bits: int) -> bool:
     """``is_shifted`` on a bit view: no cover move i -> i+1 leaves it."""
-    return not any(((bits & _exchange_bits(n, i, i + 1)) << (1 << (i - 1))) & ~bits for i in range(1, n))
+    return not any(_moved(n, bits, i, i + 1) for i in range(1, n))
 
 
 def _closure(masks: Iterable[int]) -> frozenset[int]:
@@ -269,8 +283,8 @@ def is_shifted(cx: SimplicialComplex) -> bool:
     of sigma below j up to j, then the next one up into the slot it
     left, and so on down to i).
 
-    On the bit view the faces that hold i and not i+1 are bits & A_(i,i+1),
-    and the move adds 2^(i-1) to each of their masks.
+    On the bit view the move adds 2^(i-1) to the mask of every face that
+    holds i and not i+1.
     """
     if cx.mode != STRICT:
         raise ValueError("shiftedness is defined for strict-mode complexes")
@@ -294,11 +308,16 @@ def minimal_nonfaces(cx: SimplicialComplex) -> list[int]:
 
 
 def ideal_degree_slice(cx: SimplicialComplex, d: int) -> frozenset[int]:
-    """All d-subsets of [n] that are not faces: the degree-d part of I_Delta,
-    read off the bit view as L_d & ~bits."""
+    """All d-subsets of [n] that are not faces: the degree-d part of I_Delta.
+
+    Read off the bit view as L_d & ~bits; above MAX_WALK_N, where there
+    is no bit view, the d-subsets are listed and the faces removed."""
     if not 0 <= d <= cx.n:
         raise ValueError("degree out of range")
-    return _masks_of(_layer_bits(cx.n, d) & ~cx.bits)
+    if cx.n > MAX_WALK_N:
+        return frozenset(all_faces(cx.n, d)) - cx.faces
+    layer = _layer_bits(cx.n, d)
+    return _masks_of(layer ^ (layer & cx.bits))
 
 
 def ideal_slices(cx: SimplicialComplex) -> dict[int, frozenset[int]]:

@@ -23,8 +23,8 @@ from .complexes import (
     InvariantError,
     ShiftlabError,
     SimplicialComplex,
-    _exchange_bits,
     _from_bits,
+    _moved,
     _shifted_bits,
 )
 
@@ -39,16 +39,14 @@ def _check_pair(n: int, i: int, j: int) -> None:
 def _exchange(n: int, bits: int, i: int, j: int) -> int:
     """C_ij on a bit view; ``bits`` itself when no face moves.
 
-    Every face that holds i and not j (bits & A_ij) has its image
-    exactly delta = 2^(j-1) - 2^(i-1) bits higher; ``moved`` keeps the
-    images that are not faces, and the exchange sets them and clears
-    their preimages.
+    Every moved face has its image exactly delta = 2^(j-1) - 2^(i-1)
+    bits higher: the exchange sets the images (``_moved``) and clears
+    their preimages, delta bits lower.
     """
-    delta = (1 << (j - 1)) - (1 << (i - 1))
-    moved = ((bits & _exchange_bits(n, i, j)) << delta) & ~bits
+    moved = _moved(n, bits, i, j)
     if not moved:
         return bits
-    out = bits ^ moved ^ (moved >> delta)
+    out = bits ^ moved ^ (moved >> ((1 << (j - 1)) - (1 << (i - 1))))
     # each moved image has its own preimage, so the face count must not change
     if out.bit_count() != bits.bit_count():
         raise InvariantError("C_ij must be injective on faces")
@@ -96,11 +94,19 @@ def shift_to_shifted(
     pairs = _all_pairs(n)
     seq: list[tuple[int, int]] = []
     state = cx.bits
-    while moving := [(i, j, nxt) for i, j in pairs if (nxt := _exchange(n, state, i, j)) != state]:
+    while True:
+        moving = ((i, j) for i, j in pairs if _moved(n, state, i, j))
+        if strategy == "sweep":
+            pick = next(moving, None)
+        else:
+            moving = list(moving)
+            pick = moving[rng.randrange(len(moving))] if moving else None
+        if pick is None:
+            break
         if len(seq) >= max_steps:
             raise ShiftlabError("shift iteration limit exceeded")
-        i, j, state = moving[0] if strategy == "sweep" else moving[rng.randrange(len(moving))]
-        seq.append((i, j))
+        state = _exchange(n, state, *pick)
+        seq.append(pick)
     if not _shifted_bits(n, state):
         raise InvariantError("no pair moves, yet the complex is not shifted")
     return (_from_bits(n, state) if seq else cx), tuple(seq)

@@ -209,13 +209,30 @@ def test_bit_view_round_trip_at_15_and_20_vertices():
 def test_indicator_integers_and_ideal_slices_match_their_definitions():
     for n in range(1, 7):
         for v in range(1, n + 1):
-            assert complexes._vertex_bits(n, v) == sum(1 << f for f in range(1 << n) if f >> (v - 1) & 1)
+            assert complexes._vertex_bits(n)[v] == sum(1 << f for f in range(1 << n) if f >> (v - 1) & 1)
         for d in range(n + 1):
             assert complexes._layer_bits(n, d) == sum(1 << f for f in range(1 << n) if f.bit_count() == d)
     for cx in _corpus():
         for d in range(cx.n + 1):
             want = {m for m in range(1 << cx.n) if m.bit_count() == d and m not in cx.faces}
             assert ideal_degree_slice(cx, d) == want
+
+
+def test_vertex_indicators_at_20_vertices():
+    full = (1 << (1 << 20)) - 1
+    h = complexes._vertex_bits(20)
+    assert h[1] == full // 3 * 2
+    assert h[20] == full >> (1 << 19) << (1 << 19)
+    assert [x.bit_count() for x in h] == [0] + [1 << 19] * 20
+
+
+def test_ideal_degree_slice_above_20_vertices_lists_the_subsets():
+    # no bit view there, so the slice comes from the d-subsets themselves
+    points = from_facets(30, [[v] for v in range(1, 31)])
+    assert len(ideal_degree_slice(points, 2)) == 435
+    assert ideal_degree_slice(points, 1) == frozenset()
+    with pytest.raises(ValueError, match="n must be at most 20"):
+        points.bits
 
 
 def test_minimal_nonfaces():

@@ -154,8 +154,9 @@ def test_bit_view_matches_face_by_face_oracles(n, density, seed):
         lambda cx: shift_to_shifted(cx),
         lambda cx: enumerate_shifted(cx),
         is_shifted,
+        lambda cx: replay(cx, [(1, 2)]),
     ],
-    ids=["shift_ij", "shift_to_shifted", "enumerate_shifted", "is_shifted"],
+    ids=["shift_ij", "shift_to_shifted", "enumerate_shifted", "is_shifted", "replay"],
 )
 def test_shifting_refuses_n_above_20(call):
     with pytest.raises(ValueError, match="n must be at most 20"):
