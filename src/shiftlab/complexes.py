@@ -100,9 +100,7 @@ class SimplicialComplex:
         """The face set as one 2^n-bit integer: bit f is set iff mask f
         is a face.  Refuses n > MAX_WALK_N."""
         check_walk_size(self.n)
-        present = np.zeros(1 << self.n, dtype=bool)
-        present[np.fromiter(self.faces, dtype=np.intp, count=len(self.faces))] = True
-        return _pack(present)
+        return _bits_of(self.n, self.faces)
 
 
 def _pack(present: np.ndarray) -> int:
@@ -110,10 +108,23 @@ def _pack(present: np.ndarray) -> int:
     return int.from_bytes(np.packbits(present, bitorder="little").tobytes(), "little")
 
 
+def _bits_of(n: int, masks: Iterable[int]) -> int:
+    """The 2^n-bit integer whose bit f is set iff f is one of ``masks``,
+    each of which must lie in [0, 2^n)."""
+    present = np.zeros(1 << n, dtype=bool)
+    present[np.fromiter(masks, dtype=np.intp)] = True
+    return _pack(present)
+
+
+def _mask_list(bits: int) -> list[int]:
+    """The masks f whose bit f is set in ``bits``, ascending."""
+    raw = np.frombuffer(bits.to_bytes((bits.bit_length() + 7) >> 3, "little"), dtype=np.uint8)
+    return np.flatnonzero(np.unpackbits(raw, bitorder="little").view(bool)).tolist()
+
+
 def _masks_of(bits: int) -> frozenset[int]:
     """The masks f whose bit f is set in ``bits``."""
-    raw = np.frombuffer(bits.to_bytes((bits.bit_length() + 7) >> 3, "little"), dtype=np.uint8)
-    return frozenset(np.flatnonzero(np.unpackbits(raw, bitorder="little").view(bool)).tolist())
+    return frozenset(_mask_list(bits))
 
 
 def _from_bits(n: int, bits: int) -> SimplicialComplex:
@@ -165,6 +176,26 @@ def _moved(n: int, bits: int, i: int, j: int) -> int:
     held = bits & h[i]
     raised = (held ^ (held & h[j])) << ((1 << (j - 1)) - (1 << (i - 1)))
     return raised ^ (raised & bits)
+
+
+def _shadow(n: int, bits: int) -> int:
+    """Bit f ^ 2^(v-1) for every set bit f and every vertex v in f: the
+    masks one vertex short of a set one."""
+    h = _vertex_bits(n)
+    out = 0
+    for v in range(1, n + 1):
+        out |= (bits & h[v]) >> (1 << (v - 1))
+    return out
+
+
+def _upper_shadow(n: int, bits: int) -> int:
+    """Bit f | 2^(v-1) for every set bit f < 2^n and every vertex v not
+    in f: the masks one vertex past a set one."""
+    h = _vertex_bits(n)
+    out = 0
+    for v in range(1, n + 1):
+        out |= (bits ^ (bits & h[v])) << (1 << (v - 1))
+    return out
 
 
 def _shifted_bits(n: int, bits: int) -> bool:
@@ -243,10 +274,21 @@ def from_facets(n: int, facets: Iterable, mode: str = STRICT) -> SimplicialCompl
 
 def from_nonfaces(n: int, nonfaces: Iterable[int]) -> SimplicialComplex:
     """The strict complex on [n] whose faces are all masks below 2^n
-    not in ``nonfaces``; the result is checked like :func:`from_faces`."""
+    not in ``nonfaces``, and the empty face; the result is checked like
+    :func:`from_faces`.  Masks outside [1, 2^n) are ignored.
+
+    Built on the bit view: the faces are the complement of the packed
+    non-faces, downward closed iff their shadow adds no bit."""
     check_walk_size(n)
-    bad = frozenset(nonfaces)
-    return from_faces(n, (m for m in range(1 << n) if m not in bad), STRICT)
+    bad = _bits_of(n, (m for m in nonfaces if 0 < m < 1 << n))
+    faces = ((1 << (1 << n)) - 1) ^ bad
+    below = _shadow(n, faces)
+    if below ^ (below & faces):
+        raise ValueError("face family is not downward-closed")
+    missing = [v for v in range(1, n + 1) if not faces >> (1 << (v - 1)) & 1]
+    if missing:
+        raise ValueError(f"strict mode requires all singletons; missing {missing}")
+    return _from_bits(n, faces)
 
 
 def full_simplex(n: int) -> SimplicialComplex:

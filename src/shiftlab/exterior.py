@@ -33,6 +33,20 @@ ascending column order.  Such scalings change neither the row space nor
 the rank of any column prefix, so the pivots are the same for every
 draw; a row of degree 9 at n = 12 takes 3 wedge steps instead of 9.
 
+A matrix carries only the columns that can still hold a pivot.  For
+every invertible draw g, not only a generic one, in(g J_Delta) is a
+monomial ideal, so the draw's pivots are the non-faces of a complex: a
+d-set inside a (d+1)-face of the draw is a face of it, and a d-set over
+a (d-1)-non-face of the draw is a non-face of it.  A column without a
+pivot lies in the span of the columns before it, so leaving it out
+changes neither the rank nor the pivots of the others.  Each draw
+therefore runs its ideal-side degrees first, descending, each leaving
+out the d-sets inside a (d+1)-face when degree d + 1 is already known
+(its slice empty or full, or on the ideal side), then its face-side
+degrees ascending, each leaving out the d-sets over a (d-1)-non-face;
+degree d - 1 is always known by then.  The face side's result is all
+d-sets minus its pivots, not only the kept columns minus them.
+
 The infinite base field is approximated by GF(p) with a uniform random
 coordinate change; results are accepted only when two independent draws
 agree, which bounds the failure probability by (degree of the relevant
@@ -55,6 +69,11 @@ from .complexes import (
     InvariantError,
     ShiftlabError,
     SimplicialComplex,
+    _bits_of,
+    _layer_bits,
+    _mask_list,
+    _shadow,
+    _upper_shadow,
     f_vector,
     from_nonfaces,
     ideal_slices,
@@ -128,32 +147,48 @@ def _wedge_step(n: int, k: int):
     return tuple(steps)
 
 
+def _check_subsets(masks: Sequence[int], d: int, n: int, what: str) -> None:
+    for m in masks:
+        if not 0 <= m < 1 << n or m.bit_count() != d:
+            raise ValueError(f"{what} mask {m} is not a {d}-subset of [{n}]")
+
+
 def phi_image_matrix(
-    rows: Sequence[int], d: int, g: np.ndarray, p: int
+    rows: Sequence[int], d: int, g: np.ndarray, p: int, cols: Sequence[int] | None = None
 ) -> tuple[np.ndarray, tuple[int, ...]]:
     """Rows of the degree-d compound matrix of g mod p, in the monomial basis.
 
     Row r holds the coefficients of the image of e_{rows[r]} under the
     coordinate change g: the coefficient on column tau is the d x d
     minor of g with rows sigma_r and columns tau.  Columns are sorted
-    revlex-descending; returns (matrix, column masks).  Raises
-    ValueError unless p passes ``gfp.check_field`` and every row is a
-    d-subset of [n].
+    revlex-descending, all C(n, d) of them or only ``cols``; returns
+    (matrix, column masks).  Raises ValueError unless p passes
+    ``gfp.check_field``, every row is a d-subset of [n] and ``cols``,
+    if given, is an ascending list of distinct d-subsets of [n].
 
     The minors are built by d wedge steps, one row of g at a time.
     Step k adds its k+1 <= n signed terms, each the product of two
     residues and so below p**2 in absolute value, straight into the
     next degree's array.  For n <= 64 such a sum stays below 64 * p**2,
-    inside the 2**53 that ``gfp.check_field`` keeps for 128 terms.
+    inside the 2**53 that ``gfp.check_field`` keeps for 128 terms.  The
+    last step computes only the targets in ``cols``.
     """
     gfp.check_field(p)
     n = g.shape[0]
     if not 1 <= d <= n:
         raise ValueError("degree out of range")
-    for m in rows:
-        if not 0 <= m < 1 << n or m.bit_count() != d:
-            raise ValueError(f"row mask {m} is not a {d}-subset of [{n}]")
-    col_masks = revlex_column_order(n, d)
+    _check_subsets(rows, d, n, "row")
+    order = revlex_column_order(n, d)
+    steps = [_wedge_step(n, k) for k in range(d)]
+    if cols is None:
+        col_masks = order
+    else:
+        col_masks = tuple(cols)
+        _check_subsets(col_masks, d, n, "column")
+        if any(a >= b for a, b in zip(col_masks, col_masks[1:])):
+            raise ValueError("column masks must be ascending and distinct")
+        at = np.searchsorted(np.asarray(order, dtype=np.int64), np.asarray(col_masks, dtype=np.int64))
+        steps[-1] = tuple((old_idx[at], elem_idx[at]) for old_idx, elem_idx in steps[-1])
     if len(rows) == 0:
         return np.zeros((0, len(col_masks)), dtype=np.int64), col_masks
 
@@ -167,7 +202,7 @@ def phi_image_matrix(
         cur = np.ones((hi - lo, 1), dtype=np.float64)
         for k in range(d):
             rows_k = G[block[:, k] - 1, :]  # (B, n)
-            for i, (old_idx, elem_idx) in enumerate(_wedge_step(n, k)):
+            for i, (old_idx, elem_idx) in enumerate(steps[k]):
                 term = cur[:, old_idx] * rows_k[:, elem_idx]
                 if i == 0:
                     nxt = term
@@ -181,7 +216,9 @@ def phi_image_matrix(
     return rows_out, col_masks
 
 
-def _eliminate(slice_d: frozenset[int], d: int, phi: GenericMatrix, on_faces: bool) -> frozenset[int]:
+def _eliminate(
+    slice_d: frozenset[int], d: int, phi: GenericMatrix, on_faces: bool, cols: Sequence[int] | None = None
+) -> frozenset[int]:
     """Degree-d non-face masks of the generic initial complex for one
     draw, by elimination on one side.
 
@@ -190,7 +227,9 @@ def _eliminate(slice_d: frozenset[int], d: int, phi: GenericMatrix, on_faces: bo
     the rows are the d-faces under phi^{-T}, a row space orthogonal to
     the ideal side's and of complementary dimension; its pivots in the
     reversed column order are exactly the columns that carry no
-    ideal-side pivot, for every draw.
+    ideal-side pivot, for every draw.  Only the ascending ``cols`` are
+    built (all d-subsets by default); each column left out must carry
+    no pivot, so the pivots among the others are unchanged.
 
     When 2d > n the matrix is built from the complementary rows in
     degree n - d under the other matrix of the draw (phi^{-T} on the
@@ -200,34 +239,64 @@ def _eliminate(slice_d: frozenset[int], d: int, phi: GenericMatrix, on_faces: bo
     leave every pivot in place.  The rank check guards both routes.
     """
     n = phi.n
-    rows = [m for m in revlex_column_order(n, d) if (m in slice_d) != on_faces]
+    order = revlex_column_order(n, d)
+    rows = [m for m in order if (m in slice_d) != on_faces]
     if 2 * d > n:
         # complementing reverses the ascending column order
         full = (1 << n) - 1
-        M, cols = phi_image_matrix([full ^ m for m in rows], n - d, phi.entries if on_faces else phi.dual, phi.p)
+        back = None if cols is None else [full ^ c for c in reversed(cols)]
+        M, cols = phi_image_matrix([full ^ m for m in rows], n - d, phi.entries if on_faces else phi.dual, phi.p, back)
         M, cols = M[:, ::-1], tuple(full ^ c for c in reversed(cols))
     else:
-        M, cols = phi_image_matrix(rows, d, phi.dual if on_faces else phi.entries, phi.p)
+        M, cols = phi_image_matrix(rows, d, phi.dual if on_faces else phi.entries, phi.p, cols)
     if on_faces:
         M, cols = M[:, ::-1], cols[::-1]
     pivots = gfp.pivot_columns(M, phi.p)
     if len(pivots) != len(rows):
         raise InvariantError("rows of an invertible compound matrix must be independent")
     lead = frozenset(cols[c] for c in pivots)
-    return frozenset(cols) - lead if on_faces else lead
+    return frozenset(order) - lead if on_faces else lead
 
 
-def _gin_degree(slice_d: frozenset[int], d: int, phi: GenericMatrix) -> frozenset[int]:
-    """Degree-d non-face masks of the generic initial complex for one draw.
+def _kept_columns(n: int, d: int, dropped: int) -> list[int]:
+    """The d-subsets of [n] whose bit is clear in ``dropped``, ascending."""
+    layer = _layer_bits(n, d)
+    return _mask_list(layer ^ (layer & dropped))
 
-    Eliminates on whichever side has fewer rows: the f_{d-1} faces or
-    the |I_d| ideal monomials (the ideal side on a tie).
+
+def _gin_draw(slices: dict[int, frozenset[int]], phi: GenericMatrix) -> dict[int, frozenset[int]]:
+    """The non-face masks of the generic initial complex for one draw,
+    by degree.
+
+    An empty or full slice is fixed by every change of coordinates.
+    Every other degree eliminates on whichever side has fewer rows: the
+    f_{d-1} faces or the |I_d| ideal monomials (the ideal side on a
+    tie).  The ideal-side degrees run first, descending, then the
+    face-side degrees, ascending, so that each matrix can leave out
+    the columns that the draw's neighbouring degree already rules out
+    (see the module docstring).
     """
-    faces_d = binom(phi.n, d) - len(slice_d)
-    if not slice_d or not faces_d:
-        # an empty or full slice is fixed by every change of coordinates
-        return slice_d
-    return _eliminate(slice_d, d, phi, on_faces=faces_d < len(slice_d))
+    n = phi.n
+    out: dict[int, frozenset[int]] = {}
+    ideal_side, face_side = [], []
+    for d, slice_d in slices.items():
+        faces_d = binom(n, d) - len(slice_d)
+        if not slice_d or not faces_d:
+            out[d] = slice_d
+        else:
+            (face_side if faces_d < len(slice_d) else ideal_side).append(d)
+    for d in reversed(ideal_side):
+        cols = None
+        if d + 1 in out:
+            # a d-set inside a (d+1)-face of the draw is a face of it
+            above = _layer_bits(n, d + 1)
+            cols = _kept_columns(n, d, _shadow(n, above ^ (above & _bits_of(n, out[d + 1]))))
+        out[d] = _eliminate(slices[d], d, phi, False, cols)
+    for d in face_side:
+        # a d-set over a (d-1)-non-face of the draw is a non-face of it
+        cols = _kept_columns(n, d, _upper_shadow(n, _bits_of(n, out[d - 1])))
+        out[d] = _eliminate(slices[d], d, phi, True, cols)
+    return out
 
 
 # attempts gin makes, each a pair of draws, before it gives up
@@ -249,8 +318,7 @@ def gin(cx: SimplicialComplex, p: int = 32003, seed: int = 1) -> SimplicialCompl
     for attempt in range(_ATTEMPTS):
         s1 = seed + 1_000_003 * attempt
         phi1, phi2 = random_gl(cx.n, p, s1), random_gl(cx.n, p, s1 + 7919)
-        nf1 = {d: _gin_degree(slice_d, d, phi1) for d, slice_d in slices.items()}
-        nf2 = {d: _gin_degree(slice_d, d, phi2) for d, slice_d in slices.items()}
+        nf1, nf2 = _gin_draw(slices, phi1), _gin_draw(slices, phi2)
         differing = [d for d in slices if nf1[d] != nf2[d]]
         if not differing:
             result = from_nonfaces(cx.n, set().union(*nf1.values()))

@@ -16,7 +16,15 @@ from functools import lru_cache
 from itertools import takewhile
 from time import perf_counter
 
-from .complexes import InvariantError, SimplicialComplex, from_nonfaces, ideal_degree_slice, m_leq_counts
+from .complexes import (
+    InvariantError,
+    SimplicialComplex,
+    _bits_of,
+    _upper_shadow,
+    from_nonfaces,
+    ideal_degree_slice,
+    m_leq_counts,
+)
 from .exterior import gin
 from .faces import all_faces, mask_of
 from .homology import betti_leq, shifted_betti
@@ -84,16 +92,14 @@ def _complex_from_blocks(blocks: dict[int, tuple], all_above: int) -> Simplicial
     Asserts that each degree-d slice of the generated ideal is exactly
     T_d union T_d(block_d) (the construction's spanning property)."""
     gens = {d: terminal_segment(d) | block_monomials(d, blocks[d]) for d in blocks}
-    degrees = sorted(blocks)
-    slices: dict[int, frozenset[int]] = {}
-    prev: frozenset[int] = frozenset()
-    for d in degrees:
-        lifted = {m | (1 << v) for m in prev for v in range(N) if not m >> v & 1}
-        slices[d] = frozenset(lifted) | gens[d]
-        if slices[d] != gens[d]:
+    prev = 0
+    for d in sorted(blocks):
+        # the previous slice times every variable, on the 2^N-bit view
+        lifted = _upper_shadow(N, prev)
+        prev = _bits_of(N, gens[d])
+        if lifted ^ (lifted & prev):
             raise InvariantError(f"degree-{d} slice is not spanned by its blocks")
-        prev = slices[d]
-    nonfaces = set().union(*slices.values())
+    nonfaces = set().union(*gens.values())
     for d in range(all_above, N + 1):
         nonfaces.update(all_faces(N, d))
     return from_nonfaces(N, nonfaces)

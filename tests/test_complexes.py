@@ -49,8 +49,12 @@ def test_layers_match_brute_grouping():
 
 def test_from_nonfaces_matches_from_faces():
     for cx in all_strict_complexes(4):
-        built = from_nonfaces(cx.n, set(range(1 << cx.n)) - cx.faces)
-        assert built == from_faces(cx.n, cx.faces, STRICT)
+        nonfaces = set(range(1 << cx.n)) - cx.faces
+        # the empty face is always re-added, and masks past 2^n are ignored
+        for given in (nonfaces, nonfaces | {0}, nonfaces | {1 << cx.n, (1 << 70) + 3}):
+            built = from_nonfaces(cx.n, given)
+            assert built == from_faces(cx.n, cx.faces, STRICT)
+            assert built.bits == SimplicialComplex(cx.n, built.faces, STRICT).bits
 
 
 def test_from_nonfaces_refuses_what_from_faces_refuses():

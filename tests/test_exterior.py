@@ -44,7 +44,7 @@ def one_draw_counts(cx, d, seed):
     by the ascending-mask column order, c[i] is the rank of the first
     C(i, d) columns."""
     phi = random_gl(cx.n, P, seed)
-    return m_leq_counts(exterior._gin_degree(ideal_degree_slice(cx, d), d, phi))
+    return m_leq_counts(exterior._gin_draw(ideal_slices(cx), phi)[d])
 
 
 def test_random_gl_basics():
@@ -139,6 +139,21 @@ def test_phi_image_refuses_rows_that_are_not_d_subsets():
     # a numpy array of masks is a sequence of rows too
     M, _ = phi_image_matrix(np.array([0b0011, 0b0101]), 2, g, 7)
     assert np.array_equal(M, phi_image_matrix([0b0011, 0b0101], 2, g, 7)[0])
+    # columns must be ascending, distinct d-subsets of [n]
+    for cols in ([0b0101, 0b0011], [0b0011, 0b0011]):
+        with pytest.raises(ValueError, match="ascending and distinct"):
+            phi_image_matrix([0b0011], 2, g, 7, cols)
+    for bad in (0b0111, 0b10001, -1):
+        with pytest.raises(ValueError, match="column mask .* is not a 2-subset of \\[4\\]"):
+            phi_image_matrix([0b0011], 2, g, 7, [0b0011, bad])
+    # they pick their columns of the whole matrix, the last one included
+    rows = exterior.revlex_column_order(4, 2)
+    whole, order = phi_image_matrix(rows, 2, g, 7)
+    for cols in ([], [0b0011], [0b0101, 0b1001, 0b1100], list(order)):
+        M, got = phi_image_matrix(rows, 2, g, 7, cols)
+        assert got == tuple(cols)
+        assert np.array_equal(M, whole[:, [order.index(c) for c in cols]].reshape(len(rows), len(cols)))
+    assert phi_image_matrix([], 2, g, 7, [0b0011, 0b1100])[0].shape == (0, 2)
 
 
 @pytest.mark.parametrize("p", [2, 3, P])
@@ -322,7 +337,6 @@ def test_face_side_matches_ideal_side():
                 assert direct_eliminate(slice_d, d, phi, on_faces=True) == ideal
                 for on_faces in (False, True):
                     assert exterior._eliminate(slice_d, d, phi, on_faces) == ideal
-                assert exterior._gin_degree(slice_d, d, phi) == ideal
             for on_faces in (False, True):
                 assert exterior._eliminate(slice_d, d, identity, on_faces) == slice_d
             compared[binom(n, d) - len(slice_d) < len(slice_d)] += 1
@@ -331,34 +345,96 @@ def test_face_side_matches_ideal_side():
     assert complemented >= 100
 
 
+def test_gin_draw_matches_direct_elimination():
+    # a draw leaves out the columns its neighbouring degree rules out; the
+    # pivots must be those of the whole degree-d compound matrix in every
+    # degree, for every draw: random ones, degenerate ones over GF(3), the
+    # identity and upper-triangular ones, none of which is generic
+    rng = random.Random(15)
+    compared = 0
+    for t in range(70):
+        n = 3 + t % 7
+        cx = random_facet_complex(rng, n)
+        slices = ideal_slices(cx)
+        upper = np.triu(np.random.default_rng(t).integers(1, P, size=(n, n)))
+        draws = (
+            random_gl(n, P, 700 + t),
+            random_gl(n, 3, 700 + t),
+            GenericMatrix(n, P, 0, np.eye(n, dtype=np.int64)),
+            GenericMatrix(n, P, 0, np.triu(np.ones((n, n), dtype=np.int64))),
+            GenericMatrix(n, P, 0, upper),
+        )
+        for phi in draws:
+            got = exterior._gin_draw(slices, phi)
+            assert sorted(got) == list(range(n + 1))
+            for d, slice_d in slices.items():
+                if 0 < len(slice_d) < binom(n, d):
+                    assert got[d] == direct_eliminate(slice_d, d, phi, on_faces=False)
+                    compared += 1
+                else:
+                    assert got[d] == slice_d
+    assert compared >= 1000
+
+
+def kept_columns(n, d, nonfaces, on_faces):
+    """The d-subsets a draw's elimination keeps, from that draw's non-face
+    masks of the neighbouring degree (None: all of them)."""
+    order = exterior.revlex_column_order(n, d)
+    if on_faces:
+        below = nonfaces[d - 1]
+        return tuple(m for m in order if not any(m & ~(1 << (v - 1)) in below for v in members_of(m)))
+    if nonfaces.get(d + 1) is None:
+        return order
+    above = set(exterior.revlex_column_order(n, d + 1)) - nonfaces[d + 1]
+    inside = {f & ~(1 << (v - 1)) for f in above for v in members_of(f)}
+    return tuple(m for m in order if m not in inside)
+
+
 def test_gin_degree_eliminates_on_smaller_side(monkeypatch):
     # each matrix has the fewer rows of the two sides and is built in
     # degree min(d, n - d): under phi^{-T} on the face side in a direct
-    # degree (2d <= n) and on the ideal side in a complemented one
+    # degree (2d <= n) and on the ideal side in a complemented one.  The
+    # ideal-side degrees run descending, then the face-side ones ascending,
+    # and each keeps exactly the columns its neighbouring degree allows
     n = 8
+    full = (1 << n) - 1
     cx = random_facet_complex(random.Random(13), n)
     phi = random_gl(n, P, 5)
+    slices = ideal_slices(cx)
     calls = []
     real = exterior.phi_image_matrix
 
-    def recorded(rows, d, g, p):
-        calls.append((len(rows), d, g is phi.dual))
-        return real(rows, d, g, p)
+    def recorded(rows, d, g, p, cols=None):
+        M, col_masks = real(rows, d, g, p, cols)
+        calls.append((len(rows), d, g is phi.dual, col_masks))
+        assert M.shape == (len(rows), len(col_masks))
+        return M, col_masks
 
     monkeypatch.setattr(exterior, "phi_image_matrix", recorded)
-    expected, sides = [], set()
-    for d in range(1, n + 1):
-        slice_d = ideal_degree_slice(cx, d)
-        exterior._gin_degree(slice_d, d, phi)
-        n_faces = binom(n, d) - len(slice_d)
-        if slice_d and n_faces:
-            on_faces = n_faces < len(slice_d)
-            expected.append((min(len(slice_d), n_faces), min(d, n - d), on_faces == (2 * d <= n)))
-            sides.add((on_faces, (2 * d > n) - (2 * d < n)))
+    exterior._gin_draw(slices, phi)
+
+    # the draw's non-faces: the slice where it is empty or full, else None
+    # until the degree is eliminated, in gin's order
+    nonfaces = {d: s if not 0 < len(s) < binom(n, d) else None for d, s in slices.items()}
+    n_faces = {d: binom(n, d) - len(s) for d, s in slices.items()}
+    ideal_side = [d for d in range(n, -1, -1) if nonfaces[d] is None and n_faces[d] >= len(slices[d])]
+    face_side = [d for d in range(n + 1) if nonfaces[d] is None and d not in ideal_side]
+    expected, sides, dropped = [], set(), set()
+    for d in ideal_side + face_side:
+        on_faces = d in face_side
+        kept = kept_columns(n, d, nonfaces, on_faces)
+        built = kept if 2 * d <= n else tuple(full ^ m for m in reversed(kept))
+        expected.append((min(len(slices[d]), n_faces[d]), min(d, n - d), on_faces == (2 * d <= n), built))
+        sides.add((on_faces, (2 * d > n) - (2 * d < n)))
+        if len(kept) < binom(n, d):
+            dropped.add(on_faces)
+        nonfaces[d] = direct_eliminate(slices[d], d, phi, on_faces=False)
     assert calls == expected
-    # both sides, a tie degree (d = 4) and a complemented degree are covered
+    # both sides, a tie degree (d = 4) and a complemented degree are covered,
+    # and each side leaves out columns at least once
     assert {True, False} <= {on_faces for on_faces, _ in sides}
     assert {-1, 0, 1} <= {where for _, where in sides}
+    assert dropped == {True, False}
 
 
 def test_rank_check_guards_both_routes(monkeypatch):

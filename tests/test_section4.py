@@ -1,6 +1,7 @@
 import pytest
 
 from shiftlab import (
+    InvariantError,
     f_vector,
     ideal_degree_slice,
     is_shifted,
@@ -8,6 +9,7 @@ from shiftlab import (
     section4_build,
     section4_negative_results,
 )
+from shiftlab import section4
 from shiftlab.faces import binom
 from shiftlab.section4 import (
     BLOCK_A,
@@ -73,3 +75,14 @@ def test_classify_rejects_other_complexes():
 def test_negative_results_pass():
     report = section4_negative_results(include_gin=False, classified=classified_section4())
     assert report.passed, report.failures
+
+
+def test_build_refuses_a_slice_its_blocks_do_not_span(monkeypatch):
+    # {1, 2, 3, 4} lies over {1, 2, 3} in T_3; without it in T_4 the
+    # degree-4 slice of the generated ideal is larger than its blocks
+    real = section4.terminal_segment
+    missing = mask_of([1, 2, 3, 4])
+    assert mask_of([1, 2, 3]) in real(3) and missing in real(4)
+    monkeypatch.setattr(section4, "terminal_segment", lambda d: real(d) - {missing})
+    with pytest.raises(InvariantError, match="degree-4 slice is not spanned by its blocks"):
+        section4._truncated_build()
