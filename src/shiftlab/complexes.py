@@ -1,15 +1,18 @@
-"""Simplicial complexes on [n] with full face-set storage and a bit view.
+"""Simplicial complexes on [n], 1 <= n <= MAX_WALK_N, with full face-set
+storage and a bit view.
 
 Complexes are immutable: the face family is a frozenset of bitmasks and
 every operation returns a new value, so instances are safe to share
 across threads.
 
-For n <= MAX_WALK_N a complex also has a cached bit view ``bits``: one
-2^n-bit integer whose bit f is set iff mask f is a face.  Shiftedness,
-the exchange operators of ``shifting`` and the degree slices of I_Delta
-run on it as a few big-integer operations against cached indicator
-integers: H_v (the masks containing v) and L_d (the masks with d
-members).
+Every complex also has a cached bit view ``bits``: one 2^n-bit integer
+whose bit f is set iff mask f is a face.  The constructors close and
+check a face family on it, and shiftedness, the exchange operators of
+``shifting``, the facets, the minimal non-faces and the degree slices of
+I_Delta run on it as a few big-integer operations against cached
+indicator integers: H_v (the masks containing v) and L_d (the masks
+with d members).  The ground-set bound is checked once, when a complex
+is built, before anything of size 2^n is allocated.
 
 Strict mode is the usual convention that every singleton {j}, j in [n],
 is a face.  Relaxed mode drops that requirement; it exists so that
@@ -27,14 +30,14 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .faces import MAX_GROUND_SET, all_faces, mask_of, members_of, subsets_of
+from .faces import MAX_GROUND_SET, mask_of, members_of
 
 STRICT = "strict"
 RELAXED = "relaxed"
 
-# Hochster's sum, the degree slices of I_Delta and the lex segments each
-# walk all 2^n vertex subsets, and the bit view of a complex has 2^n bits,
-# so their work doubles with every vertex.
+# The bit view of a complex has 2^n bits, and Hochster's sum, the degree
+# slices of I_Delta and the lex segments each walk all 2^n vertex
+# subsets, so their work doubles with every vertex.
 MAX_WALK_N = 20
 
 
@@ -58,7 +61,7 @@ class SimplicialComplex:
     mode: str = STRICT
 
     def __post_init__(self):
-        _check_ground_set(self.n)
+        check_ground_set(self.n)
         if self.mode not in (STRICT, RELAXED):
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -80,13 +83,8 @@ class SimplicialComplex:
 
     @cached_property
     def _facets(self) -> tuple[int, ...]:
-        out = [
-            f
-            for f in self.faces
-            if not any((f | (1 << v)) in self.faces for v in range(self.n) if not f >> v & 1)
-        ]
-        out.sort(key=lambda m: (m.bit_count(), members_of(m)))
-        return tuple(out)
+        # a face is a facet iff it is not one vertex short of another face
+        return _by_degree(_mask_list(self.bits ^ (self.bits & _shadow(self.n, self.bits))))
 
     def facets(self) -> tuple[int, ...]:
         """Inclusion-maximal faces, sorted by (degree, members)."""
@@ -98,8 +96,7 @@ class SimplicialComplex:
     @cached_property
     def bits(self) -> int:
         """The face set as one 2^n-bit integer: bit f is set iff mask f
-        is a face.  Refuses n > MAX_WALK_N."""
-        check_walk_size(self.n)
+        is a face."""
         return _bits_of(self.n, self.faces)
 
 
@@ -127,10 +124,15 @@ def _masks_of(bits: int) -> frozenset[int]:
     return frozenset(_mask_list(bits))
 
 
-def _from_bits(n: int, bits: int) -> SimplicialComplex:
-    """The strict complex on [n] whose bit view is ``bits``, with that
-    view already cached."""
-    cx = SimplicialComplex(n, _masks_of(bits), STRICT)
+def _by_degree(masks: Iterable[int]) -> tuple[int, ...]:
+    """The masks sorted by (degree, members)."""
+    return tuple(sorted(masks, key=lambda m: (m.bit_count(), members_of(m))))
+
+
+def _from_bits(n: int, bits: int, mode: str = STRICT) -> SimplicialComplex:
+    """The complex on [n] whose bit view is ``bits``, with that view
+    already cached; unchecked."""
+    cx = SimplicialComplex(n, _masks_of(bits), mode)
     cx.__dict__["bits"] = bits
     return cx
 
@@ -203,27 +205,15 @@ def _shifted_bits(n: int, bits: int) -> bool:
     return not any(_moved(n, bits, i, i + 1) for i in range(1, n))
 
 
-def _closure(masks: Iterable[int]) -> frozenset[int]:
-    closed: set[int] = {0}
-    for m in masks:
-        if m not in closed:
-            closed.update(subsets_of(m))
-    return frozenset(closed)
-
-
-def _check_ground_set(n: int) -> None:
-    if not 1 <= n <= MAX_GROUND_SET:
-        raise ValueError(f"ground-set size must be in 1..{MAX_GROUND_SET}")
-
-
-def check_walk_size(n: int) -> None:
-    """Refuse a ground set too large for a walk over its 2^n subsets."""
+def check_ground_set(n: int) -> None:
+    """Refuse a ground set [n] outside 1..MAX_WALK_N."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
     if n > MAX_WALK_N:
         raise ValueError(f"n must be at most {MAX_WALK_N}")
 
 
 def _check_within(n: int, masks: Iterable[int], what: str = "face") -> None:
-    _check_ground_set(n)
     full = (1 << n) - 1
     for f in masks:
         if f < 0:
@@ -232,14 +222,20 @@ def _check_within(n: int, masks: Iterable[int], what: str = "face") -> None:
             raise ValueError(f"{what} {members_of(f)} not contained in [{n}]")
 
 
-def _validate(n: int, faces: frozenset[int], mode: str) -> None:
-    _check_within(n, faces)
-    if 0 not in faces:
-        raise ValueError("the empty face must be present")
+def _build(n: int, bits: int, mode: str) -> SimplicialComplex:
+    """The complex on [n] whose bit view is ``bits``, checked: downward
+    closed iff the shadow adds no bit, and in strict mode every
+    singleton (each bit of L_1) set."""
+    below = _shadow(n, bits)
+    if below ^ (below & bits):
+        raise ValueError("face family is not downward-closed")
     if mode == STRICT:
-        missing = [v for v in range(1, n + 1) if (1 << (v - 1)) not in faces]
+        singletons = _layer_bits(n, 1)
+        missing = singletons ^ (singletons & bits)
         if missing:
-            raise ValueError(f"strict mode requires all singletons; missing {missing}")
+            vertices = [m.bit_length() for m in _mask_list(missing)]
+            raise ValueError(f"strict mode requires all singletons; missing {vertices}")
+    return _from_bits(n, bits, mode)
 
 
 def from_faces(n: int, faces: Iterable[int], mode: str = STRICT) -> SimplicialComplex:
@@ -248,47 +244,34 @@ def from_faces(n: int, faces: Iterable[int], mode: str = STRICT) -> SimplicialCo
     The family is checked for downward closure; use :func:`from_facets`
     to close an arbitrary generating family.
     """
-    fam = frozenset(faces) | {0}
-    for f in fam:
-        for v in range(n):
-            if f >> v & 1 and (f & ~(1 << v)) not in fam:
-                raise ValueError("face family is not downward-closed")
-    _validate(n, fam, mode)
-    return SimplicialComplex(n, fam, mode)
+    check_ground_set(n)
+    masks = list(faces)
+    _check_within(n, masks)
+    return _build(n, _bits_of(n, masks) | 1, mode)
 
 
 def from_facets(n: int, facets: Iterable, mode: str = STRICT) -> SimplicialComplex:
     """Downward closure of the given facets (plus the empty face).
 
-    Facets may be bitmasks or iterables of vertices.
+    Facets may be bitmasks or iterables of vertices.  The closure runs on
+    the bit view: the shadow is added until it adds nothing.
     """
-    masks = []
-    for f in facets:
-        masks.append(f if isinstance(f, int) else mask_of(f))
-    # before the closure, which has 2^|facet| subsets per facet
+    check_ground_set(n)
+    masks = [f if isinstance(f, int) else mask_of(f) for f in facets]
     _check_within(n, masks)
-    faces = _closure(masks)
-    _validate(n, faces, mode)
-    return SimplicialComplex(n, faces, mode)
+    bits = _bits_of(n, masks) | 1
+    while (below := _shadow(n, bits)) ^ (below & bits):
+        bits |= below
+    return _build(n, bits, mode)
 
 
 def from_nonfaces(n: int, nonfaces: Iterable[int]) -> SimplicialComplex:
     """The strict complex on [n] whose faces are all masks below 2^n
     not in ``nonfaces``, and the empty face; the result is checked like
-    :func:`from_faces`.  Masks outside [1, 2^n) are ignored.
-
-    Built on the bit view: the faces are the complement of the packed
-    non-faces, downward closed iff their shadow adds no bit."""
-    check_walk_size(n)
+    :func:`from_faces`.  Masks outside [1, 2^n) are ignored."""
+    check_ground_set(n)
     bad = _bits_of(n, (m for m in nonfaces if 0 < m < 1 << n))
-    faces = ((1 << (1 << n)) - 1) ^ bad
-    below = _shadow(n, faces)
-    if below ^ (below & faces):
-        raise ValueError("face family is not downward-closed")
-    missing = [v for v in range(1, n + 1) if not faces >> (1 << (v - 1)) & 1]
-    if missing:
-        raise ValueError(f"strict mode requires all singletons; missing {missing}")
-    return _from_bits(n, faces)
+    return _build(n, ((1 << (1 << n)) - 1) ^ bad, STRICT)
 
 
 def full_simplex(n: int) -> SimplicialComplex:
@@ -299,8 +282,12 @@ def full_simplex(n: int) -> SimplicialComplex:
 
 
 def f_vector(cx: SimplicialComplex) -> tuple[int, ...]:
-    """(f_0, f_1, ...): f_i counts faces of cardinality i+1."""
-    return tuple(map(len, cx.layers[1:]))
+    """(f_0, f_1, ...): f_i counts faces of cardinality i+1, up to the
+    largest face; f_(d-1) is the popcount of bits & L_d."""
+    counts = [(cx.bits & _layer_bits(cx.n, d)).bit_count() for d in range(1, cx.n + 1)]
+    while counts and not counts[-1]:
+        counts.pop()
+    return tuple(counts)
 
 
 def restriction(cx: SimplicialComplex, w) -> SimplicialComplex:
@@ -336,35 +323,23 @@ def is_shifted(cx: SimplicialComplex) -> bool:
 def minimal_nonfaces(cx: SimplicialComplex) -> list[int]:
     """Inclusion-minimal non-faces; the generators of I_Delta and J_Delta.
 
-    Listed by (degree, members): ``all_faces`` gives each degree in that
-    order."""
-    check_walk_size(cx.n)
-    out = []
-    for d in range(1, cx.n + 1):
-        for mask in all_faces(cx.n, d):
-            if mask in cx.faces:
-                continue
-            if all((mask & ~(1 << v)) in cx.faces for v in range(cx.n) if mask >> v & 1):
-                out.append(mask)
-    return out
+    A non-face is minimal iff it is not one vertex past another non-face.
+    Listed by (degree, members)."""
+    nonfaces = ((1 << (1 << cx.n)) - 1) ^ cx.bits
+    return list(_by_degree(_mask_list(nonfaces ^ (nonfaces & _upper_shadow(cx.n, nonfaces)))))
 
 
 def ideal_degree_slice(cx: SimplicialComplex, d: int) -> frozenset[int]:
-    """All d-subsets of [n] that are not faces: the degree-d part of I_Delta.
-
-    Read off the bit view as L_d & ~bits; above MAX_WALK_N, where there
-    is no bit view, the d-subsets are listed and the faces removed."""
+    """All d-subsets of [n] that are not faces: the degree-d part of I_Delta,
+    read off the bit view as L_d & ~bits."""
     if not 0 <= d <= cx.n:
         raise ValueError("degree out of range")
-    if cx.n > MAX_WALK_N:
-        return frozenset(all_faces(cx.n, d)) - cx.faces
     layer = _layer_bits(cx.n, d)
     return _masks_of(layer ^ (layer & cx.bits))
 
 
 def ideal_slices(cx: SimplicialComplex) -> dict[int, frozenset[int]]:
     """Degree slices of I_Delta for every degree 0..n, keyed by degree."""
-    check_walk_size(cx.n)
     return {d: ideal_degree_slice(cx, d) for d in range(cx.n + 1)}
 
 

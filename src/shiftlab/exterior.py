@@ -51,8 +51,7 @@ The infinite base field is approximated by GF(p) with a uniform random
 coordinate change; results are accepted only when two independent draws
 agree, which bounds the failure probability by (degree of the relevant
 minors)/p per draw.  ``gin`` makes at most three attempts, each a fresh
-pair of draws.  Its degree slices come from ``complexes.ideal_slices``,
-so it refuses more than ``complexes.MAX_WALK_N`` vertices.
+pair of draws.  Its degree slices come from ``complexes.ideal_slices``.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ A face is a subset of [n] = {1, ..., n} stored as an integer bitmask:
 vertex v occupies bit v-1.  The same mask doubles as the squarefree
 monomial x_sigma (or e_sigma) supported on the face.  Its size is
 ``mask.bit_count()`` and its largest vertex m(sigma) is
-``mask.bit_length()``.  Ground sets are capped at 64 vertices.
+``mask.bit_length()``.  A mask holds vertices 1..64; a complex has
+1 <= n <= 20 vertices (``complexes.MAX_WALK_N``), refused when built.
 
 Both orders compare monomials of one degree with x_1 > ... > x_n, and
 neither has a comparator: each is realised as an order of the masks.
@@ -52,18 +53,6 @@ def members_of(mask: int) -> tuple[int, ...]:
         mask >>= 1
         v += 1
     return tuple(out)
-
-
-def subsets_of(mask: int):
-    """All submasks of a face mask, including 0 and the mask itself."""
-    if mask < 0:
-        raise ValueError(f"negative face mask {mask}")
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
 
 
 def all_faces(n: int, d: int):

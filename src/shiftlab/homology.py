@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import gfp
-from .complexes import InvariantError, SimplicialComplex, check_walk_size, is_shifted, m_leq_table
+from .complexes import STRICT, InvariantError, SimplicialComplex, is_shifted, m_leq_table
 from .faces import binom, members_of
 
 BettiTable = dict[tuple[int, int], int]
@@ -111,9 +111,8 @@ def hochster_betti(cx: SimplicialComplex, p: int) -> BettiTable:
     simplex, with no reduced homology.
     """
     gfp.check_field(p)
-    if cx.mode != "strict":
+    if cx.mode != STRICT:
         raise ValueError("Hochster's formula requires a strict-mode complex")
-    check_walk_size(cx.n)
     table: BettiTable = {}
     for w in range(1, 1 << cx.n):
         if w in cx.faces:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 
-from .complexes import InvariantError, SimplicialComplex, check_walk_size, f_vector, from_nonfaces, is_shifted
+from .complexes import InvariantError, SimplicialComplex, check_ground_set, f_vector, from_nonfaces, is_shifted
 from .faces import all_faces, binom
 
 
@@ -19,7 +19,7 @@ def delta_lex(f: tuple[int, ...], n: int) -> SimplicialComplex:
     ``f`` must be realizable (in practice it always comes from an
     actual complex); an unrealizable vector trips the closure check.
     """
-    check_walk_size(n)
+    check_ground_set(n)
     if any(f[n:]):
         raise ValueError(f"f-vector {f} has a nonzero entry past f_{n - 1}")
     want = tuple(f[:n]) + (0,) * (n - len(f))

@@ -9,8 +9,7 @@ exhaustively.
 Every operator here runs on a complex's bit view (``SimplicialComplex.bits``,
 one 2^n-bit integer), so each C_ij is a handful of big-integer
 operations rather than a loop over the faces, and a search state is one
-integer.  The bit view, and with it all of shifting, is defined for
-n <= MAX_WALK_N (20).
+integer.
 """
 
 from __future__ import annotations
@@ -58,8 +57,7 @@ def shift_ij(cx: SimplicialComplex, i: int, j: int) -> SimplicialComplex:
 
     C_ij(sigma) = (sigma - i) + j when i is in sigma, j is not, and the
     exchanged set is not already a face; otherwise sigma is kept.  The
-    input itself is returned when no face moves.  Runs on the bit view,
-    so n must be at most MAX_WALK_N.
+    input itself is returned when no face moves.  Runs on the bit view.
     """
     if cx.mode != STRICT:
         raise ValueError("shifting requires a strict-mode complex")
@@ -82,7 +80,7 @@ def shift_to_shifted(
     (deterministic), ``random`` a seeded uniform choice among them.  No
     pair changes the complex exactly when it is shifted, which ends the
     loop.  Returns the shifted complex and the replayable sequence.
-    The steps run on the bit view, so n must be at most MAX_WALK_N.
+    The steps run on the bit view.
     """
     if cx.mode != STRICT:
         raise ValueError("shifting requires a strict-mode complex")
@@ -129,9 +127,8 @@ def enumerate_shifted(
 
     Breadth-first closure over every intermediate state (a non-shifted
     intermediate may lead to shifted states unreachable otherwise),
-    memoized on the bit view, which is the exact face-set encoding, so
-    n must be at most MAX_WALK_N.  Raises if more than ``state_limit``
-    states are visited.
+    memoized on the bit view, which is the exact face-set encoding.
+    Raises if more than ``state_limit`` states are visited.
     """
     if cx.mode != STRICT:
         raise ValueError("shifting requires a strict-mode complex")

@@ -5,9 +5,8 @@ homology sums vs. the closed formula on a shifted companion, the m_<=
 counts of the exterior shift vs. those of a combinatorial shift)
 entrywise with zero tolerance.  A check is a function from a complex
 and its companions to a list of failure details, empty when it holds;
-violations are collected in a report rather than raised.  Complexes
-have at most ``MAX_WALK_N`` vertices, the bound of the subset walks
-every trial makes.
+violations are collected in a report rather than raised.  Like every
+complex, a trial's complex has at most ``MAX_WALK_N`` (20) vertices.
 """
 
 from __future__ import annotations
@@ -19,10 +18,9 @@ from dataclasses import dataclass, field
 from time import perf_counter
 
 from .complexes import (
-    MAX_WALK_N,
     STRICT,
     SimplicialComplex,
-    check_walk_size,
+    check_ground_set,
     f_vector,
     from_facets,
     is_shifted,
@@ -64,8 +62,7 @@ def random_complex(n: int, density: float, seed: int) -> SimplicialComplex:
     given inclusion probability and downward-closed; singletons are
     always present.
     """
-    if not 1 <= n <= MAX_WALK_N:
-        raise ValueError(f"n must be in 1..{MAX_WALK_N}")
+    check_ground_set(n)
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must be a probability")
     rng = random.Random(seed)
@@ -127,7 +124,7 @@ def verify_theorems(
     check.  Trial sizes are drawn from 2..max(2, n), so n above
     MAX_WALK_N is refused before the first trial.
     """
-    check_walk_size(n)
+    check_ground_set(n)
     t0 = perf_counter()
     report = VerificationReport()
     rng = random.Random(seed)

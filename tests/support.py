@@ -14,9 +14,13 @@ from shiftlab import (
     members_of,
     phi_image_matrix,
 )
-from shiftlab import gfp
+from shiftlab import complexes, gfp
 from shiftlab.exterior import revlex_column_order
 from shiftlab.complexes import STRICT
+
+
+# ten seeded (n, density, seed) triples at each n = 6, 7, 8, over three densities
+SEEDED = [(n, (0.05, 0.1, 0.2)[t % 3], 1000 * n + t) for n in (6, 7, 8) for t in range(10)]
 
 
 def all_strict_complexes(n):
@@ -40,6 +44,63 @@ def all_strict_complexes(n):
                 yield from extend(faces | set(pick), d + 1)
 
     yield from extend({0, *singletons}, 2)
+
+
+def forbid_bit_view(monkeypatch):
+    """Make the first steps of building a complex raise: packing its bit
+    view and closing it.  A size refused when built then never reaches
+    them, and a missing bound fails a test instead of allocating 2^n
+    bits."""
+
+    def no_bit_view(*args):
+        raise AssertionError("a bit view was built")
+
+    monkeypatch.setattr(complexes, "_bits_of", no_bit_view)
+    monkeypatch.setattr(complexes, "_shadow", no_bit_view)
+
+
+def subsets_of(mask):
+    """All submasks of a face mask, including 0 and the mask itself."""
+    if mask < 0:
+        raise ValueError(f"negative face mask {mask}")
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
+
+
+def brute_closure(masks):
+    """The downward closure of ``masks`` plus the empty face, subset by
+    subset: the oracle for the bit-view closure of ``from_facets``."""
+    closed = {0}
+    for m in masks:
+        if m not in closed:
+            closed.update(subsets_of(m))
+    return frozenset(closed)
+
+
+def brute_facets(cx: SimplicialComplex):
+    """Faces with no face one vertex larger, by (degree, members)."""
+    out = [
+        f
+        for f in cx.faces
+        if not any((f | (1 << v)) in cx.faces for v in range(cx.n) if not f >> v & 1)
+    ]
+    return tuple(sorted(out, key=lambda m: (m.bit_count(), members_of(m))))
+
+
+def brute_minimal_nonfaces(cx: SimplicialComplex):
+    """Non-faces whose one-vertex-smaller subsets are all faces, listed
+    degree by degree in ascending-tuple order."""
+    out = []
+    for d in range(1, cx.n + 1):
+        for c in itertools.combinations(range(1, cx.n + 1), d):
+            mask = mask_of(c)
+            if mask not in cx.faces and all(mask & ~(1 << (v - 1)) in cx.faces for v in c):
+                out.append(mask)
+    return out
 
 
 def brute_lex_greater(a, b):

@@ -5,8 +5,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from shiftlab import InvariantError, from_facets, to_json
 from shiftlab.complexes import from_json_dict
-from shiftlab import complexes, exterior, gfp, homology, lexsegment, verify
+from shiftlab import exterior, gfp, homology, lexsegment, verify
 from shiftlab.cli import main
+
+from support import forbid_bit_view
 
 
 @pytest.fixture
@@ -102,14 +104,28 @@ def test_subset_walks_refuse_n_above_20(monkeypatch, tmp_path, command, flags, c
     def no_walk(*args):
         raise AssertionError("a walk over the 2^n subsets started")
 
-    # the first step of each walk raises, so a missing bound fails the test
-    # instead of hanging it
-    for module in (complexes, exterior, lexsegment):
+    # the 21 points are refused when the document is read; the first step
+    # of the closure and of each walk raises, so a missing bound fails the
+    # test instead of hanging it
+    forbid_bit_view(monkeypatch)
+    for module in (exterior, lexsegment):
         monkeypatch.setattr(module, "all_faces", no_walk)
     monkeypatch.setattr(homology, "_reduced_dims", no_walk)
     path = tmp_path / "points.json"
-    path.write_text(to_json(from_facets(21, [[v] for v in range(1, 22)])))
+    path.write_text(json.dumps({"n": 21, "facets": [[v] for v in range(1, 22)], "mode": "strict"}))
     assert main([command, str(path), *flags]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == ["shiftlab: error: n must be at most 20"]
+
+
+@pytest.mark.parametrize("n", [26, 40])
+def test_fvector_refuses_a_single_facet_above_20_vertices(monkeypatch, tmp_path, n, capsys):
+    # its closure would have 2^n faces; a missing bound raises in the closure
+    forbid_bit_view(monkeypatch)
+    path = tmp_path / "simplex.json"
+    path.write_text(json.dumps({"n": n, "facets": [list(range(1, n + 1))]}))
+    assert main(["fvector", str(path)]) == 2
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.splitlines() == ["shiftlab: error: n must be at most 20"]

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -25,7 +26,15 @@ from shiftlab.complexes import RELAXED, STRICT, from_nonfaces
 from shiftlab.section4 import section4_build
 from shiftlab.verify import random_complex
 
-from support import all_strict_complexes, brute_is_shifted
+from support import (
+    SEEDED,
+    all_strict_complexes,
+    brute_closure,
+    brute_facets,
+    brute_is_shifted,
+    brute_minimal_nonfaces,
+    forbid_bit_view,
+)
 
 
 def faces_as_sets(cx):
@@ -100,10 +109,7 @@ def test_facet_out_of_range():
 
 def test_facet_outside_ground_set_refused_before_closure(monkeypatch):
     # the closure of a 40-vertex facet would have 2^40 faces
-    def no_closure(masks):
-        raise AssertionError("closure built before the ground-set check")
-
-    monkeypatch.setattr(complexes, "_closure", no_closure)
+    forbid_bit_view(monkeypatch)
     with pytest.raises(ValueError, match="not contained in"):
         from_facets(3, [list(range(1, 41))])
 
@@ -150,16 +156,18 @@ def test_restriction_refuses_vertex_set_outside_ground_set(w, message):
 
 
 def test_nonface_walks_refuse_n_above_20(monkeypatch):
-    def no_walk(*args, **kwargs):
-        raise AssertionError("walked the subsets of [21]")
-
-    monkeypatch.setattr(complexes, "all_faces", no_walk)
-    monkeypatch.setattr(complexes, "from_faces", no_walk)
-    points = from_facets(21, [[v] for v in range(1, 22)])
+    # no complex on 21 vertices is built, by any constructor, so none
+    # reaches minimal_nonfaces or the ideal slices
+    forbid_bit_view(monkeypatch)
+    points = [0] + [1 << v for v in range(21)]
     with pytest.raises(ValueError, match="n must be at most 20"):
-        minimal_nonfaces(points)
+        from_facets(21, points)
+    with pytest.raises(ValueError, match="n must be at most 20"):
+        from_faces(21, points)
     with pytest.raises(ValueError, match="n must be at most 20"):
         from_nonfaces(21, [])
+    with pytest.raises(ValueError, match="n must be at most 20"):
+        SimplicialComplex(21, frozenset(points), STRICT)
 
 
 def test_restriction_full_ground_set_is_identity():
@@ -230,13 +238,17 @@ def test_vertex_indicators_at_20_vertices():
     assert [x.bit_count() for x in h] == [0] + [1 << 19] * 20
 
 
-def test_ideal_degree_slice_above_20_vertices_lists_the_subsets():
-    # no bit view there, so the slice comes from the d-subsets themselves
-    points = from_facets(30, [[v] for v in range(1, 31)])
-    assert len(ideal_degree_slice(points, 2)) == 435
-    assert ideal_degree_slice(points, 1) == frozenset()
+@pytest.mark.parametrize(
+    "n, facets",
+    [(30, [[v] for v in range(1, 31)]), (26, [list(range(1, 27))]), (40, [list(range(1, 41))])],
+    ids=["points-30", "facet-26", "facet-40"],
+)
+def test_more_than_20_vertices_refused_when_built(monkeypatch, n, facets):
+    # a single 40-vertex facet closes to 2^40 faces; a missing bound
+    # raises in the closure instead of allocating them
+    forbid_bit_view(monkeypatch)
     with pytest.raises(ValueError, match="n must be at most 20"):
-        points.bits
+        from_json(json.dumps({"n": n, "facets": facets}))
 
 
 def test_minimal_nonfaces():
@@ -310,5 +322,36 @@ def test_json_roundtrip():
 
 
 def test_ground_set_cap():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n must be at most 20"):
         from_facets(65, [[1]])
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        from_facets(0, [])
+
+
+def _oracle_corpus():
+    yield from (cx for n in range(1, 5) for cx in all_strict_complexes(n))
+    yield from (random_complex(*args) for args in SEEDED)
+    yield from (cx for cx in _corpus() if cx.mode == RELAXED)
+
+
+def test_bit_view_structure_matches_face_by_face_oracles():
+    for cx in _oracle_corpus():
+        facets = brute_facets(cx)
+        assert cx.facets() == facets
+        assert minimal_nonfaces(cx) == brute_minimal_nonfaces(cx)
+        assert f_vector(cx) == tuple(map(len, cx.layers[1:]))
+        assert from_facets(cx.n, facets, cx.mode).faces == brute_closure(facets) == cx.faces
+        assert from_faces(cx.n, cx.faces, cx.mode).bits == sum(1 << f for f in cx.faces)
+
+
+def test_bit_view_closure_matches_subset_closure():
+    # relaxed, so that a family need not hold the singletons
+    for n, density, seed in SEEDED:
+        rng = random.Random(seed)
+        family = [rng.randrange(1 << n) for _ in range(int(40 * density))]
+        closed = brute_closure(family)
+        assert from_facets(n, family, RELAXED).faces == closed
+        assert from_faces(n, closed, RELAXED).faces == closed
+        if closed != frozenset(family) | {0}:
+            with pytest.raises(ValueError, match="downward-closed"):
+                from_faces(n, family, RELAXED)

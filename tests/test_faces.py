@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from shiftlab import binom, mask_of, members_of
-from shiftlab.faces import all_faces, subsets_of
+from shiftlab.faces import all_faces
 
-from support import brute_lex_greater, brute_revlex_greater
+from support import brute_lex_greater, brute_revlex_greater, subsets_of
 
 
 def test_mask_roundtrip():

@@ -27,11 +27,10 @@ from support import (
     brute_is_shifted,
     brute_shift_ij,
     brute_shift_to_shifted,
+    forbid_bit_view,
+    SEEDED,
     s_ij_zero,
 )
-
-# ten seeded complexes at each n = 6, 7, 8, over three densities
-SEEDED = [(n, (0.05, 0.1, 0.2)[t % 3], 1000 * n + t) for n in (6, 7, 8) for t in range(10)]
 
 
 def facet_sets(cx):
@@ -158,9 +157,15 @@ def test_bit_view_matches_face_by_face_oracles(n, density, seed):
     ],
     ids=["shift_ij", "shift_to_shifted", "enumerate_shifted", "is_shifted", "replay"],
 )
-def test_shifting_refuses_n_above_20(call):
+def test_shifting_refuses_n_above_20(monkeypatch, call):
+    # a complex on 21 vertices is refused when it is built, by a
+    # constructor or directly, so no call ever gets one
+    forbid_bit_view(monkeypatch)
+    points = [0] + [1 << v for v in range(21)]
     with pytest.raises(ValueError, match="n must be at most 20"):
-        call(from_facets(21, [[v] for v in range(1, 22)]))
+        call(from_facets(21, points))
+    with pytest.raises(ValueError, match="n must be at most 20"):
+        call(SimplicialComplex(21, frozenset(points)))
 
 
 def test_a_fixed_point_that_is_not_shifted_is_a_library_bug(monkeypatch):
