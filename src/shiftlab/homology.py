@@ -5,7 +5,8 @@ numbers of the Stanley-Reisner ideal.  Two independent computation
 paths are provided:
 
 * :func:`hochster_betti` sums reduced homology dimensions of induced
-  subcomplexes over all vertex subsets (valid for any complex);
+  subcomplexes over all vertex subsets (valid for any complex), each
+  taken relative to the closed star of one of its vertices;
 * :func:`shifted_betti` evaluates the closed formula in terms of the
   m_<= statistics of the ideal's degree slices (valid for shifted
   complexes, field independent).
@@ -21,7 +22,15 @@ from __future__ import annotations
 import numpy as np
 
 from . import gfp
-from .complexes import STRICT, InvariantError, SimplicialComplex, is_shifted, m_leq_table
+from .complexes import (
+    STRICT,
+    InvariantError,
+    SimplicialComplex,
+    _mask_list,
+    _vertex_bits,
+    is_shifted,
+    m_leq_table,
+)
 from .faces import binom, members_of
 
 BettiTable = dict[tuple[int, int], int]
@@ -49,8 +58,12 @@ def boundary_matrix(cx: SimplicialComplex, k: int, p: int) -> np.ndarray:
 
 
 def _reduced_dims(layers, p: int) -> tuple[int, ...]:
-    """Reduced homology dimensions of the complex whose faces by size
-    are ``layers`` (each in ascending mask order, none empty).
+    """Reduced homology dimensions of the chain complex whose basis, by
+    size, is ``layers`` (each in ascending mask order): the faces of a
+    complex, or, for homology relative to a subcomplex, the faces outside
+    it.  In the relative case the low layers may be empty (in Hochster's
+    sum the empty face is always in the subcomplex), and a boundary face
+    that is not in ``layers`` lies in the subcomplex and is dropped.
 
     A column of d_{k-1}, for a k-vertex face, is a dict from the row
     indices of its (k-1)-vertex faces to the signs 1 and p-1, alternating
@@ -73,7 +86,8 @@ def _reduced_dims(layers, p: int) -> tuple[int, ...]:
             col, sign, rest = {}, 1, f
             while rest:
                 low = rest & -rest
-                col[index[f ^ low]] = sign
+                if (r := index.get(f ^ low)) is not None:
+                    col[r] = sign
                 sign, rest = p - sign, rest ^ low
             while col and (top := max(col)) in basis:
                 pivot = basis[top]
@@ -101,28 +115,69 @@ def reduced_homology_dims(cx: SimplicialComplex, p: int) -> tuple[int, ...]:
     return _reduced_dims(cx.layers, p)
 
 
+def _subsets_below(n: int):
+    """Every nonempty vertex set w < 2^n with the integer whose bit f is
+    set iff f is a subset of w.
+
+    The sets are walked depth first, each one its parent plus a vertex
+    above the parent's top: the subsets of w | b are those of w and their
+    copy shifted up by b, so each integer costs one shift and one or."""
+    stack = [(0, 1)]
+    while stack:
+        w, below = stack.pop()
+        for v in range(w.bit_length(), n):
+            b = 1 << v
+            child = (w | b, below | below << b)
+            yield child
+            stack.append(child)
+
+
+def _outside_star(d: int, v: int, h_v: int) -> int:
+    """The bit view of the faces F with F + v not a face, in the complex
+    whose bit view is ``d``; ``h_v`` is H_v.  These are the faces without
+    v, less the faces with v shifted down by v's bit; none has v, and the
+    empty face is among them only if v is not a vertex."""
+    star = d & h_v
+    rest = d ^ star
+    return rest ^ (rest & (star >> (1 << (v - 1))))
+
+
 def hochster_betti(cx: SimplicialComplex, p: int) -> BettiTable:
     """Graded Betti numbers of I_Delta via Hochster's subset sum.
 
-    beta_{i,i+j} = sum over W of size i+j of dim H~_{j-2}(Delta_W).
-    The layers of each induced subcomplex Delta_W are Delta's layers
-    filtered by W, and its homology is credited to every (i, j) with
-    i + j = |W|.  A W that is a face is skipped: Delta_W is then a
-    simplex, with no reduced homology.
+    beta_{i,i+j} = sum over W of size i+j of dim H~_{j-2}(Delta_W), and
+    each W credits its homology to every (i, j) with i + j = |W|.  A W
+    that is a face is skipped: Delta_W is then a simplex.
+
+    Otherwise the homology is taken relative to the closed star of a
+    vertex v of W.  The star is a cone on v, so H~(Delta_W) is
+    H(Delta_W, st v), whose chains are the faces F of Delta_W with F + v
+    not a face (:func:`_outside_star`, on ``cx.bits`` masked to the
+    subsets of W).  Every v gives the same homology; the v with the
+    largest star in Delta_W leaves the fewest faces to reduce.  When it
+    leaves none, Delta_W is a cone on v and W is skipped.
     """
     gfp.check_field(p)
     if cx.mode != STRICT:
         raise ValueError("Hochster's formula requires a strict-mode complex")
+    bits, h = cx.bits, _vertex_bits(cx.n)
     table: BettiTable = {}
-    for w in range(1, 1 << cx.n):
-        if w in cx.faces:
+    for w, below in _subsets_below(cx.n):
+        if bits >> w & 1:
             continue
-        layers = [l for l in (tuple(f for f in layer if not f & ~w) for layer in cx.layers) if l]
+        d = bits & below
+        v = max(members_of(w), key=lambda u: (d & h[u]).bit_count())
+        relative = _outside_star(d, v, h[v])
+        if not relative:
+            continue
+        layers: list[list[int]] = [[] for _ in range(w.bit_count())]
+        for f in _mask_list(relative):
+            layers[f.bit_count()].append(f)
         for k, dim_k in enumerate(_reduced_dims(layers, p), start=-1):
             if dim_k == 0:
                 continue
             j = k + 2
-            i = w.bit_count() - j  # i >= 0: only a face W has a (|W|-1)-dimensional Delta_W
+            i = w.bit_count() - j  # i >= 0: a relative face has fewer than |W| vertices
             table[(i, j)] = table.get((i, j), 0) + dim_k
     return table
 

@@ -121,10 +121,12 @@ def verify_theorems(
     the Betti comparison of the complex against its shifted and
     lexsegment companions, the exterior vs. combinatorial comparison,
     the m_<= domination, and a sampled single-step Betti monotonicity
-    check.  Trial sizes are drawn from 2..max(2, n), so n above
-    MAX_WALK_N is refused before the first trial.
+    check.  Trial sizes are drawn from 2..n, so n outside
+    2..MAX_WALK_N is refused before the first trial.
     """
     check_ground_set(n)
+    if n < 2:
+        raise ValueError("n must be at least 2: each trial draws a complex on 2..n vertices")
     t0 = perf_counter()
     report = VerificationReport()
     rng = random.Random(seed)
@@ -132,7 +134,7 @@ def verify_theorems(
         report.trials += 1
         trial_seed = rng.randrange(1 << 30)
         trng = random.Random(trial_seed)
-        nn = trng.randint(2, max(2, n))
+        nn = trng.randint(2, n)
         density = trng.choice([0.05, 0.15, 0.3, 0.5, 0.7, 0.9])
         cx = random_complex(nn, density, trial_seed)
         betti = hochster_betti(cx, 2)

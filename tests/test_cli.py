@@ -90,6 +90,25 @@ def test_verify_refuses_n_above_20_before_any_trial(monkeypatch, seed, capsys):
 
 
 @pytest.mark.parametrize(
+    "n, message",
+    [
+        ("1", "n must be at least 2: each trial draws a complex on 2..n vertices"),
+        ("0", "n must be at least 1"),
+    ],
+)
+def test_verify_refuses_n_below_2_before_any_trial(monkeypatch, n, message, capsys):
+    # a 1-vertex verify used to run its trials on 2 vertices and pass
+    def no_trial(*args):
+        raise AssertionError("a trial started")
+
+    monkeypatch.setattr(verify, "random_complex", no_trial)
+    assert main(["verify", "--n", n, "--trials", "2", "--seed", "0"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == [f"shiftlab: error: {message}"]
+
+
+@pytest.mark.parametrize(
     "command, flags",
     [
         ("lex", []),

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -18,12 +19,18 @@ from shiftlab import (
     shift_to_shifted,
     shifted_betti,
 )
-from shiftlab import gfp
-from shiftlab.complexes import RELAXED
-from shiftlab.homology import betti_tsv
+from shiftlab import gfp, homology
+from shiftlab.complexes import RELAXED, _mask_list, _vertex_bits
+from shiftlab.faces import members_of
+from shiftlab.homology import _outside_star, _reduced_dims, _subsets_below, betti_tsv
 from shiftlab.verify import random_complex
 
-from support import all_strict_complexes, brute_hochster_betti, numpy_reduced_homology_dims
+from support import (
+    all_strict_complexes,
+    brute_hochster_betti,
+    numpy_reduced_homology_dims,
+    subsets_of,
+)
 
 
 def eliahou_kervaire_betti(cx):
@@ -172,6 +179,70 @@ def test_hochster_matches_brute_oracle():
             assert hochster_betti(cx, p) == brute_hochster_betti(cx, p)
     for cx in [random_complex(n, density, 1) for n in (9, 10) for density in (0.01, 0.03)]:
         assert hochster_betti(cx, 2) == brute_hochster_betti(cx, 2)
+
+
+def test_subsets_below_walks_every_vertex_set_once():
+    for n in range(1, 7):
+        seen = {}
+        for w, below in _subsets_below(n):
+            assert w not in seen
+            seen[w] = below
+        assert sorted(seen) == list(range(1, 1 << n))
+        assert all(below == sum(1 << f for f in subsets_of(w)) for w, below in seen.items())
+
+
+def _padded(dims, length):
+    return tuple(dims) + (0,) * (length - len(dims))
+
+
+def test_homology_relative_to_every_vertex_star_is_that_of_the_induced_subcomplex():
+    # H~(D_W) = H(D_W, st v) whichever vertex v of W is coned off: the
+    # relative chains are the faces F of D_W with F + v not a face, and
+    # the empty face is never among them
+    for n in (6, 7, 8):
+        h = _vertex_bits(n)
+        for density, seed in itertools.product((0.02, 0.05, 0.1), (1, 2)):
+            cx = random_complex(n, density, seed)
+            for w, below in _subsets_below(n):
+                if w in cx.faces:
+                    continue
+                sub = restriction(cx, w)
+                d = cx.bits & below
+                assert set(_mask_list(d)) == sub.faces
+                expected = {p: _padded(reduced_homology_dims(sub, p), n + 1) for p in (2, 3)}
+                for v in members_of(w):
+                    faces = _mask_list(_outside_star(d, v, h[v]))
+                    bit = 1 << (v - 1)
+                    assert set(faces) == {f for f in sub.faces if f | bit not in cx.faces}
+                    layers = [[f for f in faces if f.bit_count() == k] for k in range(n + 1)]
+                    assert not layers[0]
+                    for p in (2, 3):
+                        assert _reduced_dims(layers, p) == expected[p]
+
+
+def _cone(cx):
+    apex = cx.n + 1
+    return from_facets(apex, [members_of(f) + (apex,) for f in cx.facets()])
+
+
+def test_hochster_skips_every_subset_that_induces_a_cone(monkeypatch):
+    # a cone's face ideal is its base's, in one more variable, so the two
+    # tables agree; a W holding the apex induces a cone on it and is
+    # skipped, so the cone reduces exactly the subsets its base reduces
+    calls = []
+    reduce = homology._reduced_dims
+    monkeypatch.setattr(homology, "_reduced_dims", lambda *a: calls.append(1) or reduce(*a))
+    cyc = from_facets(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
+    bases = [cyc, RP2, random_complex(6, 0.1, 3), random_complex(7, 0.05, 4)]
+    for base in bases:
+        cone = _cone(base)
+        for p in (2, 3):
+            calls.clear()
+            table = hochster_betti(base, p)
+            reduced = len(calls)
+            calls.clear()
+            assert hochster_betti(cone, p) == table == brute_hochster_betti(cone, p)
+            assert len(calls) == reduced > 0
 
 
 def test_hochster_full_simplex_empty():

@@ -1,13 +1,20 @@
+from collections import Counter
+
 import pytest
 
 from shiftlab import (
     InvariantError,
+    betti_leq,
+    delta_lex,
     f_vector,
+    hochster_betti,
     ideal_degree_slice,
     is_shifted,
     mask_of,
+    minimal_nonfaces,
     section4_build,
     section4_negative_results,
+    shifted_betti,
 )
 from shiftlab import section4
 from shiftlab.faces import binom
@@ -75,6 +82,25 @@ def test_classify_rejects_other_complexes():
 def test_negative_results_pass():
     report = section4_negative_results(include_gin=False, classified=classified_section4())
     assert report.passed, report.failures
+
+
+def test_positive_results_hold_on_the_fifteen_vertex_complex():
+    # the paper's inequality (ii), beta(D) <= beta(D^c), for every
+    # classified combinatorial shift D^c, and the lexsegment complex above
+    # both sides; the section-4 report checks only the negative results
+    cx = section4_build()
+    betti = hochster_betti(cx, 2)
+    assert len(betti) == 70
+    linear = {j: beta for (i, j), beta in betti.items() if i == 0}
+    assert linear == Counter(g.bit_count() for g in minimal_nonfaces(cx))
+    lex = shifted_betti(delta_lex(f_vector(cx), N))
+    assert betti_leq(betti, lex)
+    classified = classified_section4()
+    assert len(classified) == 16
+    for q, shifted in classified.items():
+        betti_c = shifted_betti(shifted)
+        assert betti_leq(betti, betti_c), q
+        assert betti_leq(betti_c, lex), q
 
 
 def test_build_refuses_a_slice_its_blocks_do_not_span(monkeypatch):
