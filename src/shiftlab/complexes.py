@@ -1,22 +1,27 @@
-"""Simplicial complexes on [n], 1 <= n <= MAX_WALK_N, with full face-set
-storage and a bit view.
+"""Simplicial complexes on [n], 1 <= n <= MAX_WALK_N, stored as one
+2^n-bit integer.
 
-Complexes are immutable: the face family is a frozenset of bitmasks and
-every operation returns a new value, so instances are safe to share
-across threads.
+A complex is ``SimplicialComplex(n, bits, mode)``: bit f of ``bits`` is
+set iff the mask f is a face, so at n = 20 the whole face family takes
+128 KB.  Complexes are immutable and compare and hash by (n, bits,
+mode); every operation returns a new value, so instances are safe to
+share across threads.  ``faces`` (a frozenset of masks), ``layers``
+and the facets are views derived from ``bits`` when first read.
 
-Every complex also has a cached bit view ``bits``: one 2^n-bit integer
-whose bit f is set iff mask f is a face.  The constructors close and
-check a face family on it, and shiftedness, the exchange operators of
-``shifting``, the facets, the minimal non-faces and the degree slices of
+The constructors close and check a face family on the bit view, and
+shiftedness, the exchange operators of ``shifting``, the facets, the
+minimal non-faces, the induced subcomplexes and the degree slices of
 I_Delta run on it as a few big-integer operations against cached
 indicator integers: H_v (the masks containing v) and L_d (the masks
 with d members).  The ground-set bound is checked once, when a complex
 is built, before anything of size 2^n is allocated.
 
 Strict mode is the usual convention that every singleton {j}, j in [n],
-is a face.  Relaxed mode drops that requirement; it exists so that
-induced subcomplexes keep their original labels.
+is a face.  Relaxed mode drops that requirement so that an induced
+subcomplex keeps its original labels; :func:`restriction` is its only
+producer.  It stays while ``restriction`` serves as the test oracle for
+the star-relative Hochster sum and as a layer the benchmark traces by
+name.
 """
 
 from __future__ import annotations
@@ -30,15 +35,10 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .faces import MAX_GROUND_SET, mask_of, members_of
+from .faces import MAX_WALK_N, mask_of, members_of
 
 STRICT = "strict"
 RELAXED = "relaxed"
-
-# The bit view of a complex has 2^n bits, and Hochster's sum, the degree
-# slices of I_Delta and the lex segments each walk all 2^n vertex
-# subsets, so their work doubles with every vertex.
-MAX_WALK_N = 20
 
 
 class ShiftlabError(RuntimeError):
@@ -57,24 +57,30 @@ class InvariantError(AssertionError):
 @dataclass(frozen=True)
 class SimplicialComplex:
     n: int
-    faces: frozenset[int]
+    bits: int
     mode: str = STRICT
 
     def __post_init__(self):
         check_ground_set(self.n)
+        if not isinstance(self.bits, int):
+            raise TypeError(f"bits must be an int, not {type(self.bits).__name__}")
+        if self.bits < 0 or self.bits.bit_length() > 1 << self.n:
+            raise ValueError(f"bits must lie in [0, 2^(2^{self.n})): a face mask is below 2^{self.n}")
         if self.mode not in (STRICT, RELAXED):
             raise ValueError(f"unknown mode {self.mode!r}")
 
     # -- structure ---------------------------------------------------------
 
     @cached_property
+    def faces(self) -> frozenset[int]:
+        """The face masks, unpacked from ``bits``."""
+        return frozenset(_mask_list(self.bits))
+
+    @cached_property
     def layers(self) -> tuple[tuple[int, ...], ...]:
         """The faces by size: layers[k] holds the k-vertex faces in
         ascending mask order, for k = 0 .. dim+1."""
-        by_size: list[list[int]] = [[] for _ in range(max(map(int.bit_count, self.faces)) + 1)]
-        for f in sorted(self.faces):
-            by_size[f.bit_count()].append(f)
-        return tuple(map(tuple, by_size))
+        return _layers(self.bits)
 
     @property
     def dim(self) -> int:
@@ -89,15 +95,6 @@ class SimplicialComplex:
     def facets(self) -> tuple[int, ...]:
         """Inclusion-maximal faces, sorted by (degree, members)."""
         return self._facets
-
-    def __contains__(self, mask: int) -> bool:
-        return mask in self.faces
-
-    @cached_property
-    def bits(self) -> int:
-        """The face set as one 2^n-bit integer: bit f is set iff mask f
-        is a face."""
-        return _bits_of(self.n, self.faces)
 
 
 def _pack(present: np.ndarray) -> int:
@@ -119,22 +116,19 @@ def _mask_list(bits: int) -> list[int]:
     return np.flatnonzero(np.unpackbits(raw, bitorder="little").view(bool)).tolist()
 
 
-def _masks_of(bits: int) -> frozenset[int]:
-    """The masks f whose bit f is set in ``bits``."""
-    return frozenset(_mask_list(bits))
+def _layers(bits: int) -> tuple[tuple[int, ...], ...]:
+    """The masks f whose bit f is set in ``bits``, by size: entry k holds
+    the k-member masks, ascending, for k up to the largest size present."""
+    masks = _mask_list(bits)
+    by_size: list[list[int]] = [[] for _ in range(max(map(int.bit_count, masks), default=-1) + 1)]
+    for f in masks:
+        by_size[f.bit_count()].append(f)
+    return tuple(map(tuple, by_size))
 
 
 def _by_degree(masks: Iterable[int]) -> tuple[int, ...]:
     """The masks sorted by (degree, members)."""
     return tuple(sorted(masks, key=lambda m: (m.bit_count(), members_of(m))))
-
-
-def _from_bits(n: int, bits: int, mode: str = STRICT) -> SimplicialComplex:
-    """The complex on [n] whose bit view is ``bits``, with that view
-    already cached; unchecked."""
-    cx = SimplicialComplex(n, _masks_of(bits), mode)
-    cx.__dict__["bits"] = bits
-    return cx
 
 
 # The indicator integers are cached, one tuple per n and one integer per
@@ -235,7 +229,7 @@ def _build(n: int, bits: int, mode: str) -> SimplicialComplex:
         if missing:
             vertices = [m.bit_length() for m in _mask_list(missing)]
             raise ValueError(f"strict mode requires all singletons; missing {vertices}")
-    return _from_bits(n, bits, mode)
+    return SimplicialComplex(n, bits, mode)
 
 
 def from_faces(n: int, faces: Iterable[int], mode: str = STRICT) -> SimplicialComplex:
@@ -294,12 +288,15 @@ def restriction(cx: SimplicialComplex, w) -> SimplicialComplex:
     """Induced subcomplex on W: faces of cx contained in W, labels kept.
 
     The result is relaxed-mode since vertices of W need not be faces.
-    W must lie inside [n].
+    W must lie inside [n].  On the bit view: clear H_v for each v not in W.
     """
     wmask = w if isinstance(w, int) else mask_of(w)
     _check_within(cx.n, (wmask,), "vertex set")
-    faces = frozenset(f for f in cx.faces if f & ~wmask == 0)
-    return SimplicialComplex(cx.n, faces, RELAXED)
+    bits, h = cx.bits, _vertex_bits(cx.n)
+    for v in range(1, cx.n + 1):
+        if not wmask >> (v - 1) & 1:
+            bits ^= bits & h[v]
+    return SimplicialComplex(cx.n, bits, RELAXED)
 
 
 def is_shifted(cx: SimplicialComplex) -> bool:
@@ -335,7 +332,7 @@ def ideal_degree_slice(cx: SimplicialComplex, d: int) -> frozenset[int]:
     if not 0 <= d <= cx.n:
         raise ValueError("degree out of range")
     layer = _layer_bits(cx.n, d)
-    return _masks_of(layer ^ (layer & cx.bits))
+    return frozenset(_mask_list(layer ^ (layer & cx.bits)))
 
 
 def ideal_slices(cx: SimplicialComplex) -> dict[int, frozenset[int]]:
@@ -347,18 +344,18 @@ def m_leq_counts(monomials: Iterable[int]) -> list[int]:
     """All m_<= counts of one degree slice in a single pass.
 
     c[i] is the number of monomials whose largest variable index
-    (the mask's bit length) is <= i, for i = 0 .. 64: a
+    (the mask's bit length) is <= i, for i = 0 .. MAX_WALK_N: a
     histogram of largest indices, then a prefix sum.
     """
     hist = Counter(map(int.bit_length, monomials))
-    return list(accumulate(hist[k] for k in range(MAX_GROUND_SET + 1)))
+    return list(accumulate(hist[k] for k in range(MAX_WALK_N + 1)))
 
 
 def m_leq(slices: Mapping[int, frozenset[int]], i: int, d: int) -> int:
     """Count degree-d ideal monomials whose largest variable index is <= i."""
     if d not in slices or i < 0:
         return 0
-    return m_leq_counts(slices[d])[min(i, MAX_GROUND_SET)]
+    return m_leq_counts(slices[d])[min(i, MAX_WALK_N)]
 
 
 def m_leq_table(cx: SimplicialComplex) -> list[list[int]]:

@@ -168,9 +168,10 @@ def phi_image_matrix(
     The minors are built by d wedge steps, one row of g at a time.
     Step k adds its k+1 <= n signed terms, each the product of two
     residues and so below p**2 in absolute value, straight into the
-    next degree's array.  For n <= 64 such a sum stays below 64 * p**2,
-    inside the 2**53 that ``gfp.check_field`` keeps for 128 terms.  The
-    last step computes only the targets in ``cols``.
+    next degree's array.  For n <= 128 such a sum stays below 128 * p**2,
+    inside the 2**53 that ``gfp.check_field`` keeps for 128 terms; a
+    complex has n <= ``MAX_WALK_N`` (20).  The last step computes only
+    the targets in ``cols``.
     """
     gfp.check_field(p)
     n = g.shape[0]

@@ -4,8 +4,8 @@ A face is a subset of [n] = {1, ..., n} stored as an integer bitmask:
 vertex v occupies bit v-1.  The same mask doubles as the squarefree
 monomial x_sigma (or e_sigma) supported on the face.  Its size is
 ``mask.bit_count()`` and its largest vertex m(sigma) is
-``mask.bit_length()``.  A mask holds vertices 1..64; a complex has
-1 <= n <= 20 vertices (``complexes.MAX_WALK_N``), refused when built.
+``mask.bit_length()``.  A mask holds vertices 1..MAX_WALK_N (20), and a
+complex has 1 <= n <= MAX_WALK_N vertices, refused when built.
 
 Both orders compare monomials of one degree with x_1 > ... > x_n, and
 neither has a comparator: each is realised as an order of the masks.
@@ -21,7 +21,10 @@ from __future__ import annotations
 import itertools
 from math import comb
 
-MAX_GROUND_SET = 64
+# The bit view of a complex has 2^n bits, and Hochster's sum, the degree
+# slices of I_Delta and the lex segments each walk all 2^n vertex
+# subsets, so their work doubles with every vertex.
+MAX_WALK_N = 20
 
 
 def binom(a: int, b: int) -> int:
@@ -32,11 +35,12 @@ def binom(a: int, b: int) -> int:
 
 
 def mask_of(members) -> int:
-    """Bitmask of an iterable of vertices in 1..64."""
+    """Bitmask of an iterable of vertices in 1..MAX_WALK_N; the bound
+    also stops a huge ``1 << v``."""
     m = 0
     for v in members:
-        if not 1 <= v <= MAX_GROUND_SET:
-            raise ValueError(f"vertex {v} outside 1..{MAX_GROUND_SET}")
+        if not 1 <= v <= MAX_WALK_N:
+            raise ValueError(f"vertex {v} outside 1..{MAX_WALK_N}")
         m |= 1 << (v - 1)
     return m
 

@@ -26,7 +26,7 @@ from .complexes import (
     STRICT,
     InvariantError,
     SimplicialComplex,
-    _mask_list,
+    _layers,
     _vertex_bits,
     is_shifted,
     m_leq_table,
@@ -170,10 +170,7 @@ def hochster_betti(cx: SimplicialComplex, p: int) -> BettiTable:
         relative = _outside_star(d, v, h[v])
         if not relative:
             continue
-        layers: list[list[int]] = [[] for _ in range(w.bit_count())]
-        for f in _mask_list(relative):
-            layers[f.bit_count()].append(f)
-        for k, dim_k in enumerate(_reduced_dims(layers, p), start=-1):
+        for k, dim_k in enumerate(_reduced_dims(_layers(relative), p), start=-1):
             if dim_k == 0:
                 continue
             j = k + 2

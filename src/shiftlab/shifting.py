@@ -22,7 +22,6 @@ from .complexes import (
     InvariantError,
     ShiftlabError,
     SimplicialComplex,
-    _from_bits,
     _moved,
     _shifted_bits,
 )
@@ -63,7 +62,7 @@ def shift_ij(cx: SimplicialComplex, i: int, j: int) -> SimplicialComplex:
         raise ValueError("shifting requires a strict-mode complex")
     _check_pair(cx.n, i, j)
     out = _exchange(cx.n, cx.bits, i, j)
-    return cx if out == cx.bits else _from_bits(cx.n, out)
+    return cx if out == cx.bits else SimplicialComplex(cx.n, out)
 
 
 def _all_pairs(n: int) -> list[tuple[int, int]]:
@@ -88,7 +87,7 @@ def shift_to_shifted(
         raise ValueError(f"unknown strategy {strategy!r}")
     n = cx.n
     rng = random.Random(seed)
-    max_steps = 10 * n * n * len(cx.faces)
+    max_steps = 10 * n * n * cx.bits.bit_count()
     pairs = _all_pairs(n)
     seq: list[tuple[int, int]] = []
     state = cx.bits
@@ -107,7 +106,7 @@ def shift_to_shifted(
         seq.append(pick)
     if not _shifted_bits(n, state):
         raise InvariantError("no pair moves, yet the complex is not shifted")
-    return (_from_bits(n, state) if seq else cx), tuple(seq)
+    return (SimplicialComplex(n, state) if seq else cx), tuple(seq)
 
 
 def replay(cx: SimplicialComplex, seq: Iterable[tuple[int, int]]) -> SimplicialComplex:
@@ -154,4 +153,4 @@ def enumerate_shifted(
                 visited.add(nxt)
                 nxt_frontier.append(nxt)
         frontier = nxt_frontier
-    return {_from_bits(n, state) for state in shifted_out}
+    return {SimplicialComplex(n, state) for state in shifted_out}

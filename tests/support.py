@@ -124,51 +124,61 @@ def classified_section4():
     return section4_enumerate_and_classify()
 
 
-def brute_is_shifted(cx: SimplicialComplex) -> bool:
-    """Quantifier spelled out face by face, independent of the library path."""
-    for f in cx.faces:
+def _brute_faces_shifted(n, faces) -> bool:
+    """``brute_is_shifted`` on a frozenset of face masks."""
+    for f in faces:
         mem = members_of(f)
         for i in mem:
-            for j in range(i + 1, cx.n + 1):
+            for j in range(i + 1, n + 1):
                 if j in mem:
                     continue
                 repl = set(mem) - {i} | {j}
-                if mask_of(repl) not in cx.faces:
+                if mask_of(repl) not in faces:
                     return False
     return True
 
 
-def brute_shift_ij(cx: SimplicialComplex, i: int, j: int) -> SimplicialComplex:
-    """C_ij applied face by face: replace i by j unless the image is a face."""
+def brute_is_shifted(cx: SimplicialComplex) -> bool:
+    """Quantifier spelled out face by face, independent of the library path."""
+    return _brute_faces_shifted(cx.n, cx.faces)
+
+
+def _brute_shift_faces(faces, i: int, j: int):
+    """C_ij on a frozenset of face masks, face by face."""
     bi, bj = 1 << (i - 1), 1 << (j - 1)
     out = set()
-    for f in cx.faces:
+    for f in faces:
         if f & bi and not f & bj:
             moved = (f & ~bi) | bj
-            out.add(moved if moved not in cx.faces else f)
+            out.add(moved if moved not in faces else f)
         else:
             out.add(f)
-    return SimplicialComplex(cx.n, frozenset(out), STRICT)
+    return frozenset(out)
+
+
+def brute_shift_ij(cx: SimplicialComplex, i: int, j: int) -> SimplicialComplex:
+    """C_ij applied face by face: replace i by j unless the image is a face."""
+    return from_faces(cx.n, _brute_shift_faces(cx.faces, i, j), STRICT)
 
 
 def brute_enumerate_shifted(cx: SimplicialComplex, pairs, state_limit=None):
-    """Every state reachable by ``brute_shift_ij`` steps over ``pairs``,
-    kept when ``brute_is_shifted`` holds; every state is tested, whether
-    or not some pair still moves it.  Raises ``RuntimeError`` when more
-    than ``state_limit`` states are reachable, whatever the visiting
-    order."""
-    seen = {cx.faces: cx}
-    todo = [cx]
+    """Every state reachable by C_ij steps over ``pairs``, taken face by
+    face on frozensets of masks, kept when the face-by-face shiftedness
+    test holds; every state is tested, whether or not some pair still
+    moves it.  Raises ``RuntimeError`` when more than ``state_limit``
+    states are reachable, whatever the visiting order."""
+    seen = {cx.faces}
+    todo = [cx.faces]
     while todo:
         state = todo.pop()
         for i, j in pairs:
-            nxt = brute_shift_ij(state, i, j)
-            if nxt.faces not in seen:
+            nxt = _brute_shift_faces(state, i, j)
+            if nxt not in seen:
                 if state_limit is not None and len(seen) >= state_limit:
                     raise RuntimeError("state limit exceeded")
-                seen[nxt.faces] = nxt
+                seen.add(nxt)
                 todo.append(nxt)
-    return {state for state in seen.values() if brute_is_shifted(state)}
+    return {from_faces(cx.n, state, STRICT) for state in seen if _brute_faces_shifted(cx.n, state)}
 
 
 def s_ij_zero(slices, i, j):
@@ -198,27 +208,29 @@ def s_ij_zero(slices, i, j):
 
 def brute_shift_to_shifted(cx: SimplicialComplex, strategy: str = "sweep", seed: int = 0):
     """One loop per strategy, each applying full C_ij shifts face by face
-    (``brute_shift_ij``, ``brute_is_shifted``).
+    on frozensets of masks (as ``brute_shift_ij`` and ``brute_is_shifted``
+    do); only the result is built as a complex.
 
     ``sweep`` scans the pairs in lexicographic order, applies the first
     that changes the complex and restarts, until the complex is shifted;
     ``random`` builds every pair's shift, collects those that change the
     complex and applies a seeded uniform choice among them.
     """
-    max_steps = 10 * cx.n * cx.n * len(cx.faces)
-    pairs = [(i, j) for i in range(1, cx.n) for j in range(i + 1, cx.n + 1)]
+    n = cx.n
+    max_steps = 10 * n * n * len(cx.faces)
+    pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
     seq = []
-    cur = cx
+    cur = cx.faces
     steps = 0
     if strategy == "sweep":
-        while not brute_is_shifted(cur):
+        while not _brute_faces_shifted(n, cur):
             changed = False
             for i, j in pairs:
-                nxt = brute_shift_ij(cur, i, j)
+                nxt = _brute_shift_faces(cur, i, j)
                 steps += 1
                 if steps > max_steps:
                     raise RuntimeError("shift iteration limit exceeded")
-                if nxt.faces != cur.faces:
+                if nxt != cur:
                     seq.append((i, j))
                     cur = nxt
                     changed = True
@@ -230,8 +242,8 @@ def brute_shift_to_shifted(cx: SimplicialComplex, strategy: str = "sweep", seed:
         while True:
             moves = []
             for i, j in pairs:
-                nxt = brute_shift_ij(cur, i, j)
-                if nxt.faces != cur.faces:
+                nxt = _brute_shift_faces(cur, i, j)
+                if nxt != cur:
                     moves.append(((i, j), nxt))
             if not moves:
                 break
@@ -240,7 +252,7 @@ def brute_shift_to_shifted(cx: SimplicialComplex, strategy: str = "sweep", seed:
             steps += 1
             if steps > max_steps:
                 raise RuntimeError("shift iteration limit exceeded")
-    return cur, tuple(seq)
+    return from_faces(n, cur, STRICT), tuple(seq)
 
 
 def brute_pivot_columns(rows, p):

@@ -1,10 +1,12 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 
 from shiftlab import (
     SimplicialComplex,
+    enumerate_shifted,
     f_vector,
     from_facets,
     from_faces,
@@ -19,6 +21,7 @@ from shiftlab import (
     members_of,
     minimal_nonfaces,
     restriction,
+    shift_ij,
     to_json,
 )
 from shiftlab import complexes
@@ -63,7 +66,7 @@ def test_from_nonfaces_matches_from_faces():
         for given in (nonfaces, nonfaces | {0}, nonfaces | {1 << cx.n, (1 << 70) + 3}):
             built = from_nonfaces(cx.n, given)
             assert built == from_faces(cx.n, cx.faces, STRICT)
-            assert built.bits == SimplicialComplex(cx.n, built.faces, STRICT).bits
+            assert built.faces == cx.faces
 
 
 def test_from_nonfaces_refuses_what_from_faces_refuses():
@@ -77,11 +80,50 @@ def test_from_nonfaces_refuses_what_from_faces_refuses():
 
 def test_facets_cache_is_not_a_constructor_argument():
     with pytest.raises(TypeError):
-        SimplicialComplex(2, frozenset({0, 1, 2}), STRICT, (7,))
-    cx = SimplicialComplex(2, frozenset({0, 1, 2}), STRICT)
+        SimplicialComplex(2, 0b111, STRICT, (7,))
+    cx = SimplicialComplex(2, 0b111, STRICT)
     assert cx.facets() == (1, 2)
     assert cx.facets() is cx.facets()
-    assert cx == SimplicialComplex(2, frozenset({0, 1, 2}), STRICT)
+    assert cx == SimplicialComplex(2, 0b111, STRICT)
+
+
+def test_constructor_refuses_a_face_set_for_bits():
+    # the face store is the bit view; a frozenset of masks is refused at once
+    with pytest.raises(TypeError, match="bits must be an int"):
+        SimplicialComplex(2, frozenset({0, 1, 2}), STRICT)
+
+
+@pytest.mark.parametrize("bits", [-1, 1 << 4, 1 << 9])
+def test_constructor_refuses_bits_past_the_ground_set(bits):
+    # bit 4 would be the mask {3}, outside [2]
+    with pytest.raises(ValueError, match=r"bits must lie in \[0, 2\^\(2\^2\)\)"):
+        SimplicialComplex(2, bits, STRICT)
+    assert SimplicialComplex(2, (1 << 4) - 1, STRICT).faces == {0, 1, 2, 3}
+
+
+def test_faces_are_unpacked_only_when_read():
+    simplex = full_simplex(20)
+    assert "faces" not in vars(simplex) and "layers" not in vars(simplex)
+    path = from_facets(4, [[1, 2], [2, 3], [3, 4]])
+    moved = shift_ij(path, 1, 4)
+    reached = enumerate_shifted(path)
+    assert moved != path and len(reached) > 1
+    for cx in [moved, *reached]:
+        assert "faces" not in vars(cx)
+        assert cx.faces == frozenset(m for m in range(1 << cx.n) if cx.bits >> m & 1)
+        assert "faces" in vars(cx)
+
+
+def test_full_simplex_on_20_vertices_allocates_no_face_set():
+    # its bit view is 128 KB; a frozenset of its 2^20 faces takes about 100 MB
+    tracemalloc.start()
+    try:
+        cx = full_simplex(20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cx.bits == (1 << (1 << 20)) - 1
+    assert peak < 32 << 20
 
 
 def test_from_facets_closure():
@@ -110,7 +152,7 @@ def test_facet_out_of_range():
 def test_facet_outside_ground_set_refused_before_closure(monkeypatch):
     # the closure of a 40-vertex facet would have 2^40 faces
     forbid_bit_view(monkeypatch)
-    with pytest.raises(ValueError, match="not contained in"):
+    with pytest.raises(ValueError, match=r"vertex 21 outside 1\.\.20"):
         from_facets(3, [list(range(1, 41))])
 
 
@@ -167,7 +209,7 @@ def test_nonface_walks_refuse_n_above_20(monkeypatch):
     with pytest.raises(ValueError, match="n must be at most 20"):
         from_nonfaces(21, [])
     with pytest.raises(ValueError, match="n must be at most 20"):
-        SimplicialComplex(21, frozenset(points), STRICT)
+        SimplicialComplex(21, sum(1 << f for f in points), STRICT)
 
 
 def test_restriction_full_ground_set_is_identity():
@@ -203,19 +245,19 @@ def test_is_shifted_matches_brute_force():
 )
 def test_bit_view_round_trip_below_a_byte(cx, bits):
     assert cx.bits == bits == sum(1 << f for f in cx.faces)
-    assert complexes._masks_of(bits) == cx.faces
+    assert set(complexes._mask_list(bits)) == cx.faces
 
 
 def test_bit_view_round_trip_at_15_and_20_vertices():
     cx = section4_build()
     assert cx.bits == sum(1 << f for f in cx.faces)
-    assert complexes._masks_of(cx.bits) == cx.faces
+    assert set(complexes._mask_list(cx.bits)) == cx.faces
     simplex = full_simplex(20)
     assert simplex.bits == (1 << (1 << 20)) - 1
-    assert complexes._masks_of(simplex.bits) == simplex.faces
+    assert set(complexes._mask_list(simplex.bits)) == simplex.faces
     points = from_facets(20, [[v] for v in range(1, 21)])
     assert points.bits == 1 | sum(1 << (1 << v) for v in range(20))
-    assert complexes._masks_of(points.bits) == points.faces
+    assert set(complexes._mask_list(points.bits)) == points.faces
 
 
 def test_indicator_integers_and_ideal_slices_match_their_definitions():
@@ -296,7 +338,7 @@ def test_m_leq_counts_match_direct_count():
                 if i >= 0:
                     assert counts[i] == want
     assert m_leq({}, 3, 2) == 0
-    assert m_leq_counts([]) == [0] * 65
+    assert m_leq_counts([]) == [0] * 21
 
 
 def test_subset_count_identity():

@@ -245,6 +245,19 @@ def test_hochster_skips_every_subset_that_induces_a_cone(monkeypatch):
             assert len(calls) == reduced > 0
 
 
+def test_hochster_passes_no_empty_top_layer(monkeypatch):
+    # the relative faces of a W often stop several sizes below |W|; their
+    # layers end at the largest, so no elimination indexes an empty layer
+    seen = []
+    reduce = homology._reduced_dims
+    monkeypatch.setattr(homology, "_reduced_dims", lambda layers, p: seen.append(layers) or reduce(layers, p))
+    for cx in [RP2, random_complex(6, 0.1, 1), random_complex(7, 0.05, 2)]:
+        for p in (2, 3):
+            seen.clear()
+            assert hochster_betti(cx, p) == brute_hochster_betti(cx, p)
+            assert seen and all(layers[-1] for layers in seen)
+
+
 def test_hochster_full_simplex_empty():
     assert hochster_betti(full_simplex(4), 2) == {}
 
