@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Every command reads a complex JSON document
-``{"n": int, "facets": [[int, ...], ...], "mode": "strict"|"relaxed"}``
-where named, writes JSON or TSV to stdout, and exits 0 exactly when no
-check failed.  All commands are deterministic given flags and seed.
+``{"n": int, "facets": [[int, ...], ...], "mode": "strict"}`` where
+named, writes JSON or TSV to stdout, and exits 0 exactly when no check
+failed.  ``mode`` may be left out; any other value, like a facet family
+whose closure misses a vertex of [n], is refused with exit code 2.  All commands are deterministic given flags and seed.
 """
 
 from __future__ import annotations

@@ -1,27 +1,21 @@
 """Simplicial complexes on [n], 1 <= n <= MAX_WALK_N, stored as one
 2^n-bit integer.
 
-A complex is ``SimplicialComplex(n, bits, mode)``: bit f of ``bits`` is
-set iff the mask f is a face, so at n = 20 the whole face family takes
-128 KB.  Complexes are immutable and compare and hash by (n, bits,
-mode); every operation returns a new value, so instances are safe to
-share across threads.  ``faces`` (a frozenset of masks), ``layers``
-and the facets are views derived from ``bits`` when first read.
+A complex is ``SimplicialComplex(n, bits)``: bit f of ``bits`` is set
+iff the mask f is a face, so at n = 20 the whole face family takes
+128 KB.  The constructor refuses a family that is not downward closed
+or misses a vertex: every singleton {j}, j in [n], is a face, as in the
+paper.  Complexes are immutable and compare and hash by (n, bits);
+every operation returns a new value, so instances are safe to share
+across threads.  ``faces`` (a frozenset of masks), ``layers`` and the
+facets are views derived from ``bits`` when first read.
 
-The constructors close and check a face family on the bit view, and
-shiftedness, the exchange operators of ``shifting``, the facets, the
-minimal non-faces, the induced subcomplexes and the degree slices of
-I_Delta run on it as a few big-integer operations against cached
-indicator integers: H_v (the masks containing v) and L_d (the masks
-with d members).  The ground-set bound is checked once, when a complex
-is built, before anything of size 2^n is allocated.
-
-Strict mode is the usual convention that every singleton {j}, j in [n],
-is a face.  Relaxed mode drops that requirement so that an induced
-subcomplex keeps its original labels; :func:`restriction` is its only
-producer.  It stays while ``restriction`` serves as the test oracle for
-the star-relative Hochster sum and as a layer the benchmark traces by
-name.
+Closure, shiftedness, the exchange operators of ``shifting``, the
+facets, the minimal non-faces and the degree slices of I_Delta run on
+the bit view as a few big-integer operations against cached indicator
+integers: H_v (the masks containing v) and L_d (the masks with d
+members).  The ground-set bound is checked once, when a complex is
+built, before anything of size 2^n is allocated.
 """
 
 from __future__ import annotations
@@ -36,10 +30,6 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .faces import MAX_WALK_N, mask_of, members_of
-
-STRICT = "strict"
-RELAXED = "relaxed"
-
 
 class ShiftlabError(RuntimeError):
     """A computation gave up: a search or step limit was passed, or
@@ -58,16 +48,24 @@ class InvariantError(AssertionError):
 class SimplicialComplex:
     n: int
     bits: int
-    mode: str = STRICT
 
     def __post_init__(self):
-        check_ground_set(self.n)
-        if not isinstance(self.bits, int):
-            raise TypeError(f"bits must be an int, not {type(self.bits).__name__}")
-        if self.bits < 0 or self.bits.bit_length() > 1 << self.n:
-            raise ValueError(f"bits must lie in [0, 2^(2^{self.n})): a face mask is below 2^{self.n}")
-        if self.mode not in (STRICT, RELAXED):
-            raise ValueError(f"unknown mode {self.mode!r}")
+        """Refuse a bit view that is no complex on [n]: downward closed
+        iff the shadow adds no bit, and every singleton (each bit of L_1)
+        set, which puts the empty face in too."""
+        n, bits = self.n, self.bits
+        check_ground_set(n)
+        if not isinstance(bits, int):
+            raise TypeError(f"bits must be an int, not {type(bits).__name__}")
+        if bits < 0 or bits.bit_length() > 1 << n:
+            raise ValueError(f"bits must lie in [0, 2^(2^{n})): a face mask is below 2^{n}")
+        below = _shadow(n, bits)
+        if below ^ (below & bits):
+            raise ValueError("face family is not downward-closed")
+        singletons = _layer_bits(n, 1)
+        if missing := singletons ^ (singletons & bits):
+            vertices = [m.bit_length() for m in _mask_list(missing)]
+            raise ValueError(f"strict mode requires all singletons; missing {vertices}")
 
     # -- structure ---------------------------------------------------------
 
@@ -84,7 +82,7 @@ class SimplicialComplex:
 
     @property
     def dim(self) -> int:
-        """Dimension: max face cardinality minus one (-1 for the empty complex)."""
+        """Dimension: max face cardinality minus one."""
         return len(self.layers) - 2
 
     @cached_property
@@ -216,23 +214,7 @@ def _check_within(n: int, masks: Iterable[int], what: str = "face") -> None:
             raise ValueError(f"{what} {members_of(f)} not contained in [{n}]")
 
 
-def _build(n: int, bits: int, mode: str) -> SimplicialComplex:
-    """The complex on [n] whose bit view is ``bits``, checked: downward
-    closed iff the shadow adds no bit, and in strict mode every
-    singleton (each bit of L_1) set."""
-    below = _shadow(n, bits)
-    if below ^ (below & bits):
-        raise ValueError("face family is not downward-closed")
-    if mode == STRICT:
-        singletons = _layer_bits(n, 1)
-        missing = singletons ^ (singletons & bits)
-        if missing:
-            vertices = [m.bit_length() for m in _mask_list(missing)]
-            raise ValueError(f"strict mode requires all singletons; missing {vertices}")
-    return SimplicialComplex(n, bits, mode)
-
-
-def from_faces(n: int, faces: Iterable[int], mode: str = STRICT) -> SimplicialComplex:
+def from_faces(n: int, faces: Iterable[int]) -> SimplicialComplex:
     """Build a complex from an already downward-closed face family.
 
     The family is checked for downward closure; use :func:`from_facets`
@@ -241,10 +223,10 @@ def from_faces(n: int, faces: Iterable[int], mode: str = STRICT) -> SimplicialCo
     check_ground_set(n)
     masks = list(faces)
     _check_within(n, masks)
-    return _build(n, _bits_of(n, masks) | 1, mode)
+    return SimplicialComplex(n, _bits_of(n, masks) | 1)
 
 
-def from_facets(n: int, facets: Iterable, mode: str = STRICT) -> SimplicialComplex:
+def from_facets(n: int, facets: Iterable) -> SimplicialComplex:
     """Downward closure of the given facets (plus the empty face).
 
     Facets may be bitmasks or iterables of vertices.  The closure runs on
@@ -256,16 +238,16 @@ def from_facets(n: int, facets: Iterable, mode: str = STRICT) -> SimplicialCompl
     bits = _bits_of(n, masks) | 1
     while (below := _shadow(n, bits)) ^ (below & bits):
         bits |= below
-    return _build(n, bits, mode)
+    return SimplicialComplex(n, bits)
 
 
 def from_nonfaces(n: int, nonfaces: Iterable[int]) -> SimplicialComplex:
-    """The strict complex on [n] whose faces are all masks below 2^n
+    """The complex on [n] whose faces are all masks below 2^n
     not in ``nonfaces``, and the empty face; the result is checked like
     :func:`from_faces`.  Masks outside [1, 2^n) are ignored."""
     check_ground_set(n)
     bad = _bits_of(n, (m for m in nonfaces if 0 < m < 1 << n))
-    return _build(n, ((1 << (1 << n)) - 1) ^ bad, STRICT)
+    return SimplicialComplex(n, ((1 << (1 << n)) - 1) ^ bad)
 
 
 def full_simplex(n: int) -> SimplicialComplex:
@@ -285,18 +267,23 @@ def f_vector(cx: SimplicialComplex) -> tuple[int, ...]:
 
 
 def restriction(cx: SimplicialComplex, w) -> SimplicialComplex:
-    """Induced subcomplex on W: faces of cx contained in W, labels kept.
+    """Induced subcomplex Delta_W, with the vertices of W renumbered
+    1..|W| in order: the faces of cx inside W.
 
-    The result is relaxed-mode since vertices of W need not be faces.
-    W must lie inside [n].  On the bit view: clear H_v for each v not in W.
+    Every vertex of W is a face of cx, so the result is a complex on
+    [|W|].  W must be a nonempty subset of [n].  On the bit view: the
+    2^n bits as an n-axis array (axis 0 is vertex n), read at 0 on the
+    axis of each vertex outside W.
     """
     wmask = w if isinstance(w, int) else mask_of(w)
     _check_within(cx.n, (wmask,), "vertex set")
-    bits, h = cx.bits, _vertex_bits(cx.n)
-    for v in range(1, cx.n + 1):
-        if not wmask >> (v - 1) & 1:
-            bits ^= bits & h[v]
-    return SimplicialComplex(cx.n, bits, RELAXED)
+    if not wmask:
+        raise ValueError("vertex set must be nonempty")
+    n = cx.n
+    raw = np.frombuffer(cx.bits.to_bytes(((1 << n) + 7) >> 3, "little"), dtype=np.uint8)
+    present = np.unpackbits(raw, bitorder="little")[: 1 << n].reshape((2,) * n)
+    kept = present[tuple(slice(None) if wmask >> (v - 1) & 1 else 0 for v in range(n, 0, -1))]
+    return SimplicialComplex(wmask.bit_count(), _pack(kept.ravel()))
 
 
 def is_shifted(cx: SimplicialComplex) -> bool:
@@ -312,8 +299,6 @@ def is_shifted(cx: SimplicialComplex) -> bool:
     On the bit view the move adds 2^(i-1) to the mask of every face that
     holds i and not i+1.
     """
-    if cx.mode != STRICT:
-        raise ValueError("shiftedness is defined for strict-mode complexes")
     return _shifted_bits(cx.n, cx.bits)
 
 
@@ -371,7 +356,7 @@ def to_json_dict(cx: SimplicialComplex) -> dict:
     return {
         "n": cx.n,
         "facets": [list(members_of(f)) for f in cx.facets()],
-        "mode": cx.mode,
+        "mode": "strict",
     }
 
 
@@ -395,7 +380,9 @@ def from_json_dict(doc: dict) -> SimplicialComplex:
         and all(isinstance(f, list) and all(map(_is_int, f)) for f in facets)
     ):
         raise ValueError("'facets' must be a list of lists of integers")
-    return from_facets(n, facets, doc.get("mode", STRICT))
+    if doc.get("mode", "strict") != "strict":
+        raise ValueError("'mode' must be \"strict\" or left out: every vertex of a complex is a face")
+    return from_facets(n, facets)
 
 
 def from_json(text: str) -> SimplicialComplex:

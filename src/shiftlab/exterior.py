@@ -64,7 +64,6 @@ import numpy as np
 
 from . import gfp
 from .complexes import (
-    STRICT,
     InvariantError,
     ShiftlabError,
     SimplicialComplex,
@@ -311,8 +310,6 @@ def gin(cx: SimplicialComplex, p: int = 32003, seed: int = 1) -> SimplicialCompl
     fresh seeds, up to three attempts.  The result is asserted shifted
     with the f-vector of the input.
     """
-    if cx.mode != STRICT:
-        raise ValueError("gin requires a strict-mode complex")
     slices = ideal_slices(cx)
     first_differing = []
     for attempt in range(_ATTEMPTS):

@@ -23,7 +23,6 @@ import numpy as np
 
 from . import gfp
 from .complexes import (
-    STRICT,
     InvariantError,
     SimplicialComplex,
     _layers,
@@ -158,8 +157,6 @@ def hochster_betti(cx: SimplicialComplex, p: int) -> BettiTable:
     leaves none, Delta_W is a cone on v and W is skipped.
     """
     gfp.check_field(p)
-    if cx.mode != STRICT:
-        raise ValueError("Hochster's formula requires a strict-mode complex")
     bits, h = cx.bits, _vertex_bits(cx.n)
     table: BettiTable = {}
     for w, below in _subsets_below(cx.n):

@@ -18,7 +18,6 @@ import random
 from typing import Iterable
 
 from .complexes import (
-    STRICT,
     InvariantError,
     ShiftlabError,
     SimplicialComplex,
@@ -58,8 +57,6 @@ def shift_ij(cx: SimplicialComplex, i: int, j: int) -> SimplicialComplex:
     exchanged set is not already a face; otherwise sigma is kept.  The
     input itself is returned when no face moves.  Runs on the bit view.
     """
-    if cx.mode != STRICT:
-        raise ValueError("shifting requires a strict-mode complex")
     _check_pair(cx.n, i, j)
     out = _exchange(cx.n, cx.bits, i, j)
     return cx if out == cx.bits else SimplicialComplex(cx.n, out)
@@ -81,8 +78,6 @@ def shift_to_shifted(
     loop.  Returns the shifted complex and the replayable sequence.
     The steps run on the bit view.
     """
-    if cx.mode != STRICT:
-        raise ValueError("shifting requires a strict-mode complex")
     if strategy not in ("sweep", "random"):
         raise ValueError(f"unknown strategy {strategy!r}")
     n = cx.n
@@ -129,8 +124,6 @@ def enumerate_shifted(
     memoized on the bit view, which is the exact face-set encoding.
     Raises if more than ``state_limit`` states are visited.
     """
-    if cx.mode != STRICT:
-        raise ValueError("shifting requires a strict-mode complex")
     n = cx.n
     pairs = candidate_pairs if candidate_pairs is not None else _all_pairs(n)
     for i, j in pairs:

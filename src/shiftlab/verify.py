@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from time import perf_counter
 
 from .complexes import (
-    STRICT,
     SimplicialComplex,
     check_ground_set,
     f_vector,
@@ -56,7 +55,7 @@ class VerificationReport:
 
 
 def random_complex(n: int, density: float, seed: int) -> SimplicialComplex:
-    """Seeded random strict complex on [n].
+    """Seeded random complex on [n].
 
     Candidate faces are sampled by decreasing cardinality with the
     given inclusion probability and downward-closed; singletons are
@@ -71,7 +70,7 @@ def random_complex(n: int, density: float, seed: int) -> SimplicialComplex:
         for combo in itertools.combinations(range(1, n + 1), d):
             if rng.random() < density:
                 chosen.append(list(combo))
-    return from_facets(n, chosen, STRICT)
+    return from_facets(n, chosen)
 
 
 def check_s1(shifted_cx: SimplicialComplex) -> list:
@@ -123,11 +122,14 @@ def verify_theorems(
     lexsegment companions, the exterior vs. combinatorial comparison,
     the m_<= domination, and a sampled single-step Betti monotonicity
     check.  Trial sizes are drawn from 2..n, so n outside
-    2..MAX_WALK_N is refused before the first trial.
+    2..MAX_WALK_N is refused before the first trial, as is a negative
+    number of trials; zero trials is the empty run.
     """
     check_ground_set(n)
     if n < 2:
         raise ValueError("n must be at least 2: each trial draws a complex on 2..n vertices")
+    if trials < 0:
+        raise ValueError("trials must be at least 0")
     t0 = perf_counter()
     report = VerificationReport()
     rng = random.Random(seed)
@@ -147,7 +149,7 @@ def verify_theorems(
         closed = [f for f in cx.facets() if f.bit_count() >= 2]
         pick = random.Random(trial_seed ^ 0x5F5F)
         drop = 1 << closed[pick.randrange(len(closed))] if closed else 0
-        sub = SimplicialComplex(nn, cx.bits ^ drop, STRICT)
+        sub = SimplicialComplex(nn, cx.bits ^ drop)
 
         def record(check, details, **where):
             for detail in details:

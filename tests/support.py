@@ -16,7 +16,6 @@ from shiftlab import (
 )
 from shiftlab import complexes, gfp
 from shiftlab.exterior import revlex_column_order
-from shiftlab.complexes import STRICT
 
 
 # ten seeded (n, density, seed) triples at each n = 6, 7, 8, over three densities
@@ -24,7 +23,7 @@ SEEDED = [(n, (0.05, 0.1, 0.2)[t % 3], 1000 * n + t) for n in (6, 7, 8) for t in
 
 
 def all_strict_complexes(n):
-    """Every strict-mode simplicial complex on [n], by level-wise DFS.
+    """Every simplicial complex on [n] (each vertex a face), by level-wise DFS.
 
     Feasible up to n = 5 (a few thousand complexes).
     """
@@ -32,7 +31,7 @@ def all_strict_complexes(n):
 
     def extend(faces, d):
         if d > n:
-            yield from_faces(n, faces, STRICT)
+            yield from_faces(n, faces)
             return
         candidates = [
             mask_of(c)
@@ -158,7 +157,7 @@ def _brute_shift_faces(faces, i: int, j: int):
 
 def brute_shift_ij(cx: SimplicialComplex, i: int, j: int) -> SimplicialComplex:
     """C_ij applied face by face: replace i by j unless the image is a face."""
-    return from_faces(cx.n, _brute_shift_faces(cx.faces, i, j), STRICT)
+    return from_faces(cx.n, _brute_shift_faces(cx.faces, i, j))
 
 
 def brute_enumerate_shifted(cx: SimplicialComplex, pairs, state_limit=None):
@@ -178,7 +177,7 @@ def brute_enumerate_shifted(cx: SimplicialComplex, pairs, state_limit=None):
                     raise RuntimeError("state limit exceeded")
                 seen.add(nxt)
                 todo.append(nxt)
-    return {from_faces(cx.n, state, STRICT) for state in seen if _brute_faces_shifted(cx.n, state)}
+    return {from_faces(cx.n, state) for state in seen if _brute_faces_shifted(cx.n, state)}
 
 
 def s_ij_zero(slices, i, j):
@@ -252,7 +251,7 @@ def brute_shift_to_shifted(cx: SimplicialComplex, strategy: str = "sweep", seed:
             steps += 1
             if steps > max_steps:
                 raise RuntimeError("shift iteration limit exceeded")
-    return from_faces(n, cur, STRICT), tuple(seq)
+    return from_faces(n, cur), tuple(seq)
 
 
 def brute_pivot_columns(rows, p):

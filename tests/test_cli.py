@@ -108,6 +108,18 @@ def test_verify_refuses_n_below_2_before_any_trial(monkeypatch, n, message, caps
     assert out.err.splitlines() == [f"shiftlab: error: {message}"]
 
 
+def test_verify_refuses_negative_trials(monkeypatch, capsys):
+    # a negative count used to print {"trials": 0, ...} and exit 0
+    def no_trial(*args):
+        raise AssertionError("a trial started")
+
+    monkeypatch.setattr(verify, "random_complex", no_trial)
+    assert main(["verify", "--n", "4", "--trials", "-3"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == ["shiftlab: error: trials must be at least 0"]
+
+
 @pytest.mark.parametrize(
     "command, flags",
     [
@@ -158,8 +170,9 @@ def test_fvector_refuses_a_single_facet_above_20_vertices(monkeypatch, tmp_path,
         {"n": 4, "facets": [["a"]]},
         {"n": 10**30, "facets": [[1]]},
         "[" * 200_000,
+        {"n": 3, "facets": [[1, 2], [3]], "mode": "relaxed"},
     ],
-    ids=["string-n", "top-level-list", "string-vertex", "huge-n", "deep-nesting"],
+    ids=["string-n", "top-level-list", "string-vertex", "huge-n", "deep-nesting", "relaxed-mode"],
 )
 def test_malformed_complex_exit_2(tmp_path, doc, capsys):
     # a str is written as raw text, anything else as its JSON document
@@ -182,16 +195,16 @@ _JSON_VALUE = st.recursive(
 
 @st.composite
 def _complex_doc(draw):
-    """A complex document, at times with a vertex outside 1..n, or with
-    one field replaced by any JSON value or left out."""
+    """A complex document, at times missing a vertex of [n] or with a
+    vertex outside 1..n, or with one field replaced by any JSON value or
+    left out."""
     n = draw(st.integers(1, 8) | st.integers(-1, 66))
     facets = draw(st.lists(st.lists(st.integers(1, max(n, 1)), max_size=6), max_size=6))
-    mode = draw(st.sampled_from(["strict", "relaxed"]))
-    if mode == "strict":
+    if draw(st.booleans()):
         facets += [[v] for v in range(1, n + 1)]
     if draw(st.integers(0, 3)) == 0:
         facets.append(draw(st.lists(st.integers(-1, 66), max_size=6)))
-    doc = {"n": n, "facets": facets, "mode": mode}
+    doc = {"n": n, "facets": facets, "mode": "strict"}
     if draw(st.integers(0, 3)) == 0:
         key = draw(st.sampled_from(sorted(doc)))
         if draw(st.booleans()):

@@ -25,7 +25,7 @@ from shiftlab import (
     to_json,
 )
 from shiftlab import complexes
-from shiftlab.complexes import RELAXED, STRICT, from_nonfaces
+from shiftlab.complexes import from_json_dict, from_nonfaces
 from shiftlab.section4 import section4_build
 from shiftlab.verify import random_complex
 
@@ -46,9 +46,7 @@ def faces_as_sets(cx):
 
 def _corpus():
     out = [cx for n in range(1, 5) for cx in all_strict_complexes(n)]
-    out += [random_complex(n, density, 7) for n in (6, 8) for density in (0.05, 0.2)]
-    out += [restriction(cx, [1, 3, 5]) for cx in out[-4:]]
-    return out + [from_facets(3, [], mode=RELAXED)]
+    return out + [random_complex(n, density, 7) for n in (6, 8) for density in (0.05, 0.2)]
 
 
 def test_layers_match_brute_grouping():
@@ -65,7 +63,7 @@ def test_from_nonfaces_matches_from_faces():
         # the empty face is always re-added, and masks past 2^n are ignored
         for given in (nonfaces, nonfaces | {0}, nonfaces | {1 << cx.n, (1 << 70) + 3}):
             built = from_nonfaces(cx.n, given)
-            assert built == from_faces(cx.n, cx.faces, STRICT)
+            assert built == from_faces(cx.n, cx.faces)
             assert built.faces == cx.faces
 
 
@@ -80,25 +78,25 @@ def test_from_nonfaces_refuses_what_from_faces_refuses():
 
 def test_facets_cache_is_not_a_constructor_argument():
     with pytest.raises(TypeError):
-        SimplicialComplex(2, 0b111, STRICT, (7,))
-    cx = SimplicialComplex(2, 0b111, STRICT)
+        SimplicialComplex(2, 0b111, (7,))
+    cx = SimplicialComplex(2, 0b111)
     assert cx.facets() == (1, 2)
     assert cx.facets() is cx.facets()
-    assert cx == SimplicialComplex(2, 0b111, STRICT)
+    assert cx == SimplicialComplex(2, 0b111)
 
 
 def test_constructor_refuses_a_face_set_for_bits():
     # the face store is the bit view; a frozenset of masks is refused at once
     with pytest.raises(TypeError, match="bits must be an int"):
-        SimplicialComplex(2, frozenset({0, 1, 2}), STRICT)
+        SimplicialComplex(2, frozenset({0, 1, 2}))
 
 
 @pytest.mark.parametrize("bits", [-1, 1 << 4, 1 << 9])
 def test_constructor_refuses_bits_past_the_ground_set(bits):
     # bit 4 would be the mask {3}, outside [2]
     with pytest.raises(ValueError, match=r"bits must lie in \[0, 2\^\(2\^2\)\)"):
-        SimplicialComplex(2, bits, STRICT)
-    assert SimplicialComplex(2, (1 << 4) - 1, STRICT).faces == {0, 1, 2, 3}
+        SimplicialComplex(2, bits)
+    assert SimplicialComplex(2, (1 << 4) - 1).faces == {0, 1, 2, 3}
 
 
 def test_faces_are_unpacked_only_when_read():
@@ -137,11 +135,23 @@ def test_from_facets_singletons():
 
 
 def test_strict_mode_missing_singleton():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"strict mode requires all singletons; missing \[3\]"):
         from_facets(3, [[1, 2]])
-    # relaxed mode allows it
-    cx = from_facets(3, [[1, 2]], mode=RELAXED)
-    assert mask_of([3]) not in cx.faces
+
+
+def test_constructor_checks_closure_and_singletons():
+    # the face {1, 2} alone, then {1, 2} without the empty face
+    for bits in (0b1000, 0b1110):
+        with pytest.raises(ValueError, match="not downward-closed"):
+            SimplicialComplex(2, bits)
+    # vertex 3 missing, then every vertex and the empty face missing
+    with pytest.raises(ValueError, match=r"missing \[3\]"):
+        SimplicialComplex(3, 0b0111)
+    with pytest.raises(ValueError, match=r"missing \[1, 2\]"):
+        SimplicialComplex(2, 0)
+    for n in range(1, 5):
+        for cx in all_strict_complexes(n):
+            assert SimplicialComplex(cx.n, cx.bits) == cx
 
 
 def test_facet_out_of_range():
@@ -173,13 +183,21 @@ def test_f_vector():
 
 
 def test_restriction():
+    # the vertices of W are renumbered 1..|W| in order
     cyc = from_facets(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
     r = restriction(cyc, [1, 3])
-    assert r.mode == RELAXED
-    assert faces_as_sets(r) == {(), (1,), (3,)}
-    assert faces_as_sets(restriction(cyc, [])) == {()}
+    assert r.n == 2 and faces_as_sets(r) == {(), (1,), (2,)}
+    assert restriction(cyc, [1, 2, 4]) == from_facets(3, [[1, 2], [1, 3]])
     cx = from_facets(3, [[1, 2], [1, 3]])
-    assert faces_as_sets(restriction(cx, [2, 3])) == {(), (2,), (3,)}
+    assert faces_as_sets(restriction(cx, [2, 3])) == {(), (1,), (2,)}
+
+
+def test_restriction_matches_relabelled_induced_faces():
+    for cx in [*all_strict_complexes(4), *(random_complex(*args) for args in SEEDED[::5])]:
+        for w in range(1, 1 << cx.n):
+            label = {v: k for k, v in enumerate(members_of(w), start=1)}
+            want = {mask_of([label[v] for v in members_of(f)]) for f in cx.faces if not f & ~w}
+            assert restriction(cx, w).faces == want
 
 
 @pytest.mark.parametrize(
@@ -188,8 +206,9 @@ def test_restriction():
         (-1, r"vertex set mask -1 not contained in \[4\]"),
         ([1, 5], r"vertex set \(1, 5\) not contained in \[4\]"),
         (0b10001, r"vertex set \(1, 5\) not contained in \[4\]"),
+        ([], "vertex set must be nonempty"),
     ],
-    ids=["negative-mask", "vertex-past-n", "mask-past-n"],
+    ids=["negative-mask", "vertex-past-n", "mask-past-n", "empty"],
 )
 def test_restriction_refuses_vertex_set_outside_ground_set(w, message):
     cyc = from_facets(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
@@ -209,12 +228,12 @@ def test_nonface_walks_refuse_n_above_20(monkeypatch):
     with pytest.raises(ValueError, match="n must be at most 20"):
         from_nonfaces(21, [])
     with pytest.raises(ValueError, match="n must be at most 20"):
-        SimplicialComplex(21, sum(1 << f for f in points), STRICT)
+        SimplicialComplex(21, sum(1 << f for f in points))
 
 
 def test_restriction_full_ground_set_is_identity():
     cx = from_facets(4, [[1, 2, 3], [2, 4]])
-    assert restriction(cx, range(1, 5)).faces == cx.faces
+    assert restriction(cx, range(1, 5)) == cx
 
 
 def test_is_shifted():
@@ -233,7 +252,7 @@ def test_is_shifted_matches_brute_force():
 @pytest.mark.parametrize(
     "cx, bits",
     [
-        (from_facets(1, [], mode=RELAXED), 0b1),
+        (from_facets(3, [[1], [2], [3]]), 0b00010111),
         (from_facets(1, [[1]]), 0b11),
         (from_facets(2, [[1], [2]]), 0b0111),
         (from_facets(2, [[1, 2]]), 0b1111),
@@ -358,9 +377,10 @@ def test_downward_closure_after_construction():
 def test_json_roundtrip():
     cx = from_facets(4, [[1, 2, 3], [2, 4]])
     doc = json.loads(to_json(cx))
-    assert doc["n"] == 4 and doc["mode"] == STRICT
-    again = from_json(to_json(cx))
-    assert again.faces == cx.faces and again.n == cx.n and again.mode == cx.mode
+    assert doc["n"] == 4 and doc["mode"] == "strict"
+    assert from_json(to_json(cx)) == cx
+    del doc["mode"]
+    assert from_json_dict(doc) == cx
 
 
 def test_ground_set_cap():
@@ -373,7 +393,6 @@ def test_ground_set_cap():
 def _oracle_corpus():
     yield from (cx for n in range(1, 5) for cx in all_strict_complexes(n))
     yield from (random_complex(*args) for args in SEEDED)
-    yield from (cx for cx in _corpus() if cx.mode == RELAXED)
 
 
 def test_bit_view_structure_matches_face_by_face_oracles():
@@ -382,18 +401,19 @@ def test_bit_view_structure_matches_face_by_face_oracles():
         assert cx.facets() == facets
         assert minimal_nonfaces(cx) == brute_minimal_nonfaces(cx)
         assert f_vector(cx) == tuple(map(len, cx.layers[1:]))
-        assert from_facets(cx.n, facets, cx.mode).faces == brute_closure(facets) == cx.faces
-        assert from_faces(cx.n, cx.faces, cx.mode).bits == sum(1 << f for f in cx.faces)
+        assert from_facets(cx.n, facets).faces == brute_closure(facets) == cx.faces
+        assert from_faces(cx.n, cx.faces).bits == sum(1 << f for f in cx.faces)
 
 
 def test_bit_view_closure_matches_subset_closure():
-    # relaxed, so that a family need not hold the singletons
+    # random masks and the singletons, so that every closure is a complex
     for n, density, seed in SEEDED:
         rng = random.Random(seed)
         family = [rng.randrange(1 << n) for _ in range(int(40 * density))]
+        family += [1 << v for v in range(n)]
         closed = brute_closure(family)
-        assert from_facets(n, family, RELAXED).faces == closed
-        assert from_faces(n, closed, RELAXED).faces == closed
+        assert from_facets(n, family).faces == closed
+        assert from_faces(n, closed).faces == closed
         if closed != frozenset(family) | {0}:
             with pytest.raises(ValueError, match="downward-closed"):
-                from_faces(n, family, RELAXED)
+                from_faces(n, family)

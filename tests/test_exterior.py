@@ -25,7 +25,6 @@ from shiftlab import (
     shift_to_shifted,
 )
 from shiftlab import complexes, exterior, gfp
-from shiftlab.complexes import RELAXED
 from shiftlab.exterior import GenericMatrix
 from shiftlab.faces import all_faces, binom
 from shiftlab.verify import random_complex
@@ -84,14 +83,17 @@ def test_phi_image_identity_is_permutation():
 
 
 def test_phi_image_degree_one_rows():
-    cx = from_facets(3, [[1, 2]], mode=RELAXED)
+    # every vertex is a face, so degree 1 has no ideal-side row; the
+    # face-side rows are the vertices, and the image of e_v is row v of phi
+    cx = from_facets(3, [[1, 2], [3]])
+    assert slice_rows(cx, 1) == []
     phi = random_gl(3, P, 3)
-    # degree-1 slice is the missing vertex {3}; row = row 3 of phi
-    M, cols = phi_image_matrix(slice_rows(cx, 1), 1, phi.entries, P)
-    assert M.shape == (1, 3)
-    by_col = {cols[c]: int(M[0, c]) for c in range(3)}
-    for v in range(1, 4):
-        assert by_col[mask_of([v])] == int(phi.entries[2, v - 1]) % P
+    M, cols = phi_image_matrix(cx.layers[1], 1, phi.entries, P)
+    assert M.shape == (3, 3)
+    for r, v in enumerate(members_of(f)[0] for f in cx.layers[1]):
+        by_col = {cols[c]: int(M[r, c]) for c in range(3)}
+        for u in range(1, 4):
+            assert by_col[mask_of([u])] == int(phi.entries[v - 1, u - 1]) % P
 
 
 def test_phi_image_minor_example():
@@ -192,11 +194,6 @@ def test_gin_fixes_shifted():
 
 def test_gin_full_simplex():
     assert gin(full_simplex(4), seed=0).faces == full_simplex(4).faces
-
-
-def test_gin_rejects_relaxed():
-    with pytest.raises(ValueError):
-        gin(from_facets(3, [[1, 2]], mode=RELAXED))
 
 
 def test_gin_postconditions_and_seed_independence():

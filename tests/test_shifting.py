@@ -18,7 +18,7 @@ from shiftlab import (
     shift_to_shifted,
 )
 from shiftlab import shifting
-from shiftlab.complexes import RELAXED, SimplicialComplex
+from shiftlab.complexes import SimplicialComplex
 from shiftlab.verify import random_complex
 
 from support import (
@@ -72,12 +72,6 @@ def test_shift_pair_range():
         shift_ij(cx, 2, 2)
     with pytest.raises(ValueError):
         shift_ij(cx, 0, 1)
-
-
-def test_shift_rejects_relaxed():
-    cx = from_facets(3, [[1, 2]], mode=RELAXED)
-    with pytest.raises(ValueError):
-        shift_ij(cx, 1, 2)
 
 
 def test_shift_to_shifted_already_shifted():
@@ -213,11 +207,11 @@ def test_s4_replayed_inclusion():
     for t in range(20):
         n = rng.randint(3, 5)
         big = random_complex(n, 0.6, 1000 + t)
-        # drop a random non-singleton facet to get a strict subcomplex
+        # drop a random non-singleton facet to get a subcomplex
         facets = [f for f in big.facets() if f.bit_count() >= 2]
         if not facets:
             continue
-        small = SimplicialComplex(n, big.bits ^ (1 << facets[0]), "strict")
+        small = SimplicialComplex(n, big.bits ^ (1 << facets[0]))
         _, seq = shift_to_shifted(big, "sweep")
         assert replay(small, seq).faces <= replay(big, seq).faces
 

@@ -14,7 +14,7 @@ from shiftlab import (
     verify_theorems,
 )
 from shiftlab import section4, verify
-from shiftlab.complexes import STRICT, full_simplex
+from shiftlab.complexes import full_simplex
 from shiftlab.faces import mask_of
 from shiftlab.verify import (
     VerificationReport,
@@ -50,7 +50,7 @@ def test_random_complex_determinism_and_mode():
     a = random_complex(6, 0.4, 17)
     b = random_complex(6, 0.4, 17)
     assert a.faces == b.faces
-    assert a.mode == STRICT
+    assert all(mask_of([v]) in a.faces for v in range(1, 7))
     assert random_complex(6, 0.4, 18).n == 6
 
 
@@ -59,6 +59,11 @@ def test_random_complex_rejects_bad_n():
         random_complex(0, 0.5, 1)
     with pytest.raises(ValueError):
         random_complex(21, 0.5, 1)
+
+
+def test_verify_theorems_refuses_negative_trials():
+    with pytest.raises(ValueError, match="trials must be at least 0"):
+        verify_theorems(n=4, trials=-1, seed=1)
 
 
 def test_report_empty_run():
