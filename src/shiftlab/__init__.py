@@ -18,7 +18,6 @@ from .complexes import (
     ideal_slices,
     is_shifted,
     m_leq,
-    m_leq_counts,
     minimal_nonfaces,
     restriction,
     to_json,
@@ -68,7 +67,6 @@ __all__ = [
     "ideal_slices",
     "is_shifted",
     "m_leq",
-    "m_leq_counts",
     "mask_of",
     "members_of",
     "minimal_nonfaces",

@@ -14,17 +14,17 @@ Closure, shiftedness, the exchange operators of ``shifting``, the
 facets, the minimal non-faces and the degree slices of I_Delta run on
 the bit view as a few big-integer operations against cached indicator
 integers: H_v (the masks containing v) and L_d (the masks with d
-members).  The ground-set bound is checked once, when a complex is
-built, before anything of size 2^n is allocated.
+members).  A set of monomials of one degree is a subset of the bits of
+L_d; only ``faces``, ``ideal_degree_slice`` and ``ideal_slices`` unpack
+frozensets of masks.  The ground-set bound is checked once, when a
+complex is built, before anything of size 2^n is allocated.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -65,7 +65,7 @@ class SimplicialComplex:
         singletons = _layer_bits(n, 1)
         if missing := singletons ^ (singletons & bits):
             vertices = [m.bit_length() for m in _mask_list(missing)]
-            raise ValueError(f"strict mode requires all singletons; missing {vertices}")
+            raise ValueError(f"every vertex of [{n}] must be a face; missing {vertices}")
 
     # -- structure ---------------------------------------------------------
 
@@ -241,13 +241,14 @@ def from_facets(n: int, facets: Iterable) -> SimplicialComplex:
     return SimplicialComplex(n, bits)
 
 
-def from_nonfaces(n: int, nonfaces: Iterable[int]) -> SimplicialComplex:
-    """The complex on [n] whose faces are all masks below 2^n
-    not in ``nonfaces``, and the empty face; the result is checked like
-    :func:`from_faces`.  Masks outside [1, 2^n) are ignored."""
+def from_nonfaces(n: int, nonfaces: int) -> SimplicialComplex:
+    """The complex on [n] whose faces are the masks f below 2^n with bit
+    f clear in the bit view ``nonfaces``, and the empty face; the result
+    is checked like :func:`from_faces`.  Bit 0 and the bits from 2^n on
+    are ignored."""
     check_ground_set(n)
-    bad = _bits_of(n, (m for m in nonfaces if 0 < m < 1 << n))
-    return SimplicialComplex(n, ((1 << (1 << n)) - 1) ^ bad)
+    full = (1 << (1 << n)) - 1
+    return SimplicialComplex(n, (full ^ (full & nonfaces)) | 1)
 
 
 def full_simplex(n: int) -> SimplicialComplex:
@@ -311,13 +312,18 @@ def minimal_nonfaces(cx: SimplicialComplex) -> list[int]:
     return list(_by_degree(_mask_list(nonfaces ^ (nonfaces & _upper_shadow(cx.n, nonfaces)))))
 
 
+def _slice_bits(n: int, bits: int, d: int) -> int:
+    """The d-member masks whose bit is clear in ``bits``, as a bit view:
+    L_d & ~bits.  On a complex's bits, the degree-d slice of I_Delta."""
+    layer = _layer_bits(n, d)
+    return layer ^ (layer & bits)
+
+
 def ideal_degree_slice(cx: SimplicialComplex, d: int) -> frozenset[int]:
-    """All d-subsets of [n] that are not faces: the degree-d part of I_Delta,
-    read off the bit view as L_d & ~bits."""
+    """All d-subsets of [n] that are not faces: the degree-d part of I_Delta."""
     if not 0 <= d <= cx.n:
         raise ValueError("degree out of range")
-    layer = _layer_bits(cx.n, d)
-    return frozenset(_mask_list(layer ^ (layer & cx.bits)))
+    return frozenset(_mask_list(_slice_bits(cx.n, cx.bits, d)))
 
 
 def ideal_slices(cx: SimplicialComplex) -> dict[int, frozenset[int]]:
@@ -325,28 +331,22 @@ def ideal_slices(cx: SimplicialComplex) -> dict[int, frozenset[int]]:
     return {d: ideal_degree_slice(cx, d) for d in range(cx.n + 1)}
 
 
-def m_leq_counts(monomials: Iterable[int]) -> list[int]:
-    """All m_<= counts of one degree slice in a single pass.
-
-    c[i] is the number of monomials whose largest variable index
-    (the mask's bit length) is <= i, for i = 0 .. MAX_WALK_N: a
-    histogram of largest indices, then a prefix sum.
-    """
-    hist = Counter(map(int.bit_length, monomials))
-    return list(accumulate(hist[k] for k in range(MAX_WALK_N + 1)))
-
-
 def m_leq(slices: Mapping[int, frozenset[int]], i: int, d: int) -> int:
     """Count degree-d ideal monomials whose largest variable index is <= i."""
-    if d not in slices or i < 0:
-        return 0
-    return m_leq_counts(slices[d])[min(i, MAX_WALK_N)]
+    return sum(m.bit_length() <= i for m in slices.get(d, ()))
 
 
 def m_leq_table(cx: SimplicialComplex) -> list[list[int]]:
-    """table[d][i] = m_<=i(I_Delta, d): the ``m_leq_counts`` of every
-    degree slice, d = 0 .. n."""
-    return [m_leq_counts(s) for s in ideal_slices(cx).values()]
+    """table[d][i] = m_<=i(I_Delta, d) for d = 0 .. n and i = 0 ..
+    MAX_WALK_N.  A mask has largest index <= i iff it is below 2^i, so
+    the count is the popcount of the degree-d slice below bit 2^i."""
+    n = cx.n
+    table = []
+    for d in range(n + 1):
+        s = _slice_bits(n, cx.bits, d)
+        below = [(s & ((1 << (1 << i)) - 1)).bit_count() for i in range(n)]
+        table.append(below + [s.bit_count()] * (MAX_WALK_N + 1 - n))
+    return table
 
 
 # -- JSON interchange --------------------------------------------------------

@@ -51,7 +51,8 @@ The infinite base field is approximated by GF(p) with a uniform random
 coordinate change; results are accepted only when two independent draws
 agree, which bounds the failure probability by (degree of the relevant
 minors)/p per draw.  ``gin`` makes at most three attempts, each a fresh
-pair of draws.  Its degree slices come from ``complexes.ideal_slices``.
+pair of draws.  A degree slice, of the input or of a draw's result, is
+one integer: its bits on the 2^n-bit view (``complexes._slice_bits``).
 """
 
 from __future__ import annotations
@@ -71,10 +72,10 @@ from .complexes import (
     _layer_bits,
     _mask_list,
     _shadow,
+    _slice_bits,
     _upper_shadow,
     f_vector,
     from_nonfaces,
-    ideal_slices,
     is_shifted,
 )
 from .faces import all_faces, binom, members_of
@@ -109,7 +110,7 @@ class GenericMatrix:
 
 def random_gl(n: int, p: int, seed: int) -> GenericMatrix:
     """Uniform random invertible matrix over GF(p); resamples until invertible."""
-    gfp.check_field(p)
+    p = gfp.check_field(p)
     rng = np.random.default_rng(seed)
     while True:
         g = rng.integers(0, p, size=(n, n), dtype=np.int64)
@@ -172,7 +173,7 @@ def phi_image_matrix(
     complex has n <= ``MAX_WALK_N`` (20).  The last step computes only
     the targets in ``cols``.
     """
-    gfp.check_field(p)
+    p = gfp.check_field(p)
     n = g.shape[0]
     if not 1 <= d <= n:
         raise ValueError("degree out of range")
@@ -215,11 +216,9 @@ def phi_image_matrix(
     return rows_out, col_masks
 
 
-def _eliminate(
-    slice_d: frozenset[int], d: int, phi: GenericMatrix, on_faces: bool, cols: Sequence[int] | None = None
-) -> frozenset[int]:
-    """Degree-d non-face masks of the generic initial complex for one
-    draw, by elimination on one side.
+def _eliminate(slice_d: int, d: int, phi: GenericMatrix, on_faces: bool, cols: Sequence[int] | None = None) -> int:
+    """Degree-d non-faces of the generic initial complex for one draw, by
+    elimination on one side; the slice and the result are bit views.
 
     Ideal side: the rows are the slice I_d under phi, and the pivots in
     revlex-descending column order are the gin monomials.  Face side:
@@ -238,8 +237,8 @@ def _eliminate(
     leave every pivot in place.  The rank check guards both routes.
     """
     n = phi.n
-    order = revlex_column_order(n, d)
-    rows = [m for m in order if (m in slice_d) != on_faces]
+    layer = _layer_bits(n, d)
+    rows = _mask_list(layer ^ slice_d if on_faces else slice_d)
     if 2 * d > n:
         # complementing reverses the ascending column order
         full = (1 << n) - 1
@@ -253,19 +252,13 @@ def _eliminate(
     pivots = gfp.pivot_columns(M, phi.p)
     if len(pivots) != len(rows):
         raise InvariantError("rows of an invertible compound matrix must be independent")
-    lead = frozenset(cols[c] for c in pivots)
-    return frozenset(order) - lead if on_faces else lead
+    lead = _bits_of(n, (cols[c] for c in pivots))
+    return layer ^ lead if on_faces else lead
 
 
-def _kept_columns(n: int, d: int, dropped: int) -> list[int]:
-    """The d-subsets of [n] whose bit is clear in ``dropped``, ascending."""
-    layer = _layer_bits(n, d)
-    return _mask_list(layer ^ (layer & dropped))
-
-
-def _gin_draw(slices: dict[int, frozenset[int]], phi: GenericMatrix) -> dict[int, frozenset[int]]:
-    """The non-face masks of the generic initial complex for one draw,
-    by degree.
+def _gin_draw(slices: dict[int, int], phi: GenericMatrix) -> dict[int, int]:
+    """The non-faces of the generic initial complex for one draw, by
+    degree; the slices and the result are bit views.
 
     An empty or full slice is fixed by every change of coordinates.
     Every other degree eliminates on whichever side has fewer rows: the
@@ -276,24 +269,24 @@ def _gin_draw(slices: dict[int, frozenset[int]], phi: GenericMatrix) -> dict[int
     (see the module docstring).
     """
     n = phi.n
-    out: dict[int, frozenset[int]] = {}
+    out: dict[int, int] = {}
     ideal_side, face_side = [], []
     for d, slice_d in slices.items():
-        faces_d = binom(n, d) - len(slice_d)
-        if not slice_d or not faces_d:
+        size = slice_d.bit_count()
+        faces_d = binom(n, d) - size
+        if not size or not faces_d:
             out[d] = slice_d
         else:
-            (face_side if faces_d < len(slice_d) else ideal_side).append(d)
+            (face_side if faces_d < size else ideal_side).append(d)
     for d in reversed(ideal_side):
         cols = None
         if d + 1 in out:
             # a d-set inside a (d+1)-face of the draw is a face of it
-            above = _layer_bits(n, d + 1)
-            cols = _kept_columns(n, d, _shadow(n, above ^ (above & _bits_of(n, out[d + 1]))))
+            cols = _mask_list(_slice_bits(n, _shadow(n, _slice_bits(n, out[d + 1], d + 1)), d))
         out[d] = _eliminate(slices[d], d, phi, False, cols)
     for d in face_side:
         # a d-set over a (d-1)-non-face of the draw is a non-face of it
-        cols = _kept_columns(n, d, _upper_shadow(n, _bits_of(n, out[d - 1])))
+        cols = _mask_list(_slice_bits(n, _upper_shadow(n, out[d - 1]), d))
         out[d] = _eliminate(slices[d], d, phi, True, cols)
     return out
 
@@ -310,7 +303,7 @@ def gin(cx: SimplicialComplex, p: int = 32003, seed: int = 1) -> SimplicialCompl
     fresh seeds, up to three attempts.  The result is asserted shifted
     with the f-vector of the input.
     """
-    slices = ideal_slices(cx)
+    slices = {d: _slice_bits(cx.n, cx.bits, d) for d in range(cx.n + 1)}
     first_differing = []
     for attempt in range(_ATTEMPTS):
         s1 = seed + 1_000_003 * attempt
@@ -318,7 +311,8 @@ def gin(cx: SimplicialComplex, p: int = 32003, seed: int = 1) -> SimplicialCompl
         nf1, nf2 = _gin_draw(slices, phi1), _gin_draw(slices, phi2)
         differing = [d for d in slices if nf1[d] != nf2[d]]
         if not differing:
-            result = from_nonfaces(cx.n, set().union(*nf1.values()))
+            # slices of different degrees share no bit: their sum is their union
+            result = from_nonfaces(cx.n, sum(nf1.values()))
             if not is_shifted(result):
                 raise GenericityError("generic initial complex failed shiftedness check")
             if f_vector(result) != f_vector(cx):

@@ -34,12 +34,18 @@ class SingularMatrixError(ValueError):
     """A square matrix has no inverse mod p."""
 
 
-@lru_cache(maxsize=None)
-def check_field(p: int) -> None:
-    """Refuse p unless it is a prime whose panel sums stay exact in float64."""
+@lru_cache(maxsize=None, typed=True)
+def check_field(p: int) -> int:
+    """Refuse p unless it is an integer prime whose panel sums stay exact
+    in float64, and return it as an int.  The cache is typed, so 32003.0
+    is refused even after 32003 was accepted."""
+    if not isinstance(p, (int, np.integer)):
+        raise ValueError(f"field size {p!r} is not an integer")
+    p = int(p)
     exact = 2 <= p and _PANEL * (p - 1) ** 2 + p < 2**53
     if not exact or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
         raise ValueError(f"field size {p} is not a prime p with {_PANEL}*(p-1)^2 + p < 2^53")
+    return p
 
 
 def _residues(mat, p: int) -> np.ndarray:
@@ -87,7 +93,7 @@ def pivot_columns(mat, p: int) -> list[int]:
     to live rows, trailing columns or a block changes which entries a
     product covers, not how many terms any of its sums holds.
     """
-    check_field(p)
+    p = check_field(p)
     M = _residues(mat, p)
     m, nc = M.shape
     if m == 0 or nc == 0:
@@ -144,7 +150,7 @@ def inverse(mat, p: int) -> np.ndarray:
     p.  Each update subtracts one product of two entries below p from a
     value below p, so every intermediate is exact in float64.
     """
-    check_field(p)
+    p = check_field(p)
     a = _residues(mat, p)
     n = a.shape[0]
     if a.shape != (n, n):

@@ -43,7 +43,7 @@ def boundary_matrix(cx: SimplicialComplex, k: int, p: int) -> np.ndarray:
     ``cx.layers[k+1]``.  For k = 0 the rows are the empty face, so every
     vertex maps to the generator of C_{-1} (the augmentation).
     """
-    gfp.check_field(p)
+    p = gfp.check_field(p)
     if k < 0:
         raise ValueError("k must be nonnegative")
     # layers past dim+1 are empty
@@ -110,7 +110,7 @@ def reduced_homology_dims(cx: SimplicialComplex, p: int) -> tuple[int, ...]:
     complex (C_{-1} = K spanned by the empty face); the ranks come from
     :func:`_reduced_dims`, the one sparse elimination for every p.
     """
-    gfp.check_field(p)
+    p = gfp.check_field(p)
     return _reduced_dims(cx.layers, p)
 
 
@@ -156,7 +156,7 @@ def hochster_betti(cx: SimplicialComplex, p: int) -> BettiTable:
     largest star in Delta_W leaves the fewest faces to reduce.  When it
     leaves none, Delta_W is a cone on v and W is skipped.
     """
-    gfp.check_field(p)
+    p = gfp.check_field(p)
     bits, h = cx.bits, _vertex_bits(cx.n)
     table: BettiTable = {}
     for w, below in _subsets_below(cx.n):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 
-from .complexes import InvariantError, SimplicialComplex, check_ground_set, f_vector, from_nonfaces, is_shifted
+from .complexes import InvariantError, SimplicialComplex, _bits_of, check_ground_set, f_vector, from_nonfaces, is_shifted
 from .faces import all_faces, binom
 
 
@@ -30,7 +30,7 @@ def delta_lex(f: tuple[int, ...], n: int) -> SimplicialComplex:
         # all_faces lists a layer lex-descending: its first masks are the lex-greatest
         nonfaces.extend(itertools.islice(all_faces(n, d), binom(n, d) - f_count))
     try:
-        cx = from_nonfaces(n, nonfaces)
+        cx = from_nonfaces(n, _bits_of(n, nonfaces))
     except ValueError as exc:
         raise ValueError(f"f-vector is not realizable by a lexsegment complex: {exc}") from exc
     if not is_shifted(cx):

@@ -20,10 +20,11 @@ from .complexes import (
     InvariantError,
     SimplicialComplex,
     _bits_of,
+    _layer_bits,
+    _slice_bits,
     _upper_shadow,
     from_nonfaces,
-    ideal_degree_slice,
-    m_leq_counts,
+    m_leq_table,
 )
 from .exterior import gin
 from .faces import all_faces, mask_of
@@ -72,17 +73,17 @@ EXPECTED_QSEQUENCES: frozenset[QSequence] = frozenset(
 
 
 @lru_cache(maxsize=None)
-def terminal_segment(d: int) -> frozenset[int]:
-    """T_d: degree-d monomials strictly lex-greater than the threshold,
-    the prefix of the lex-descending ``all_faces`` before it."""
+def terminal_segment(d: int) -> int:
+    """Bits of T_d: degree-d monomials strictly lex-greater than the
+    threshold, the prefix of the lex-descending ``all_faces`` before it."""
     threshold = mask_of(_H_PREFIX[d] + (12, 13))
-    return frozenset(takewhile(lambda m: m != threshold, all_faces(N, d)))
+    return _bits_of(N, takewhile(lambda m: m != threshold, all_faces(N, d)))
 
 
-def block_monomials(d: int, block) -> frozenset[int]:
-    """T_d(H): the prefix monomial wedged with each pair of the block."""
+def block_monomials(d: int, block) -> int:
+    """Bits of T_d(H): the prefix monomial wedged with each pair of the block."""
     prefix = mask_of(_H_PREFIX[d])
-    return frozenset(prefix | mask_of(pair) for pair in block)
+    return _bits_of(N, (prefix | mask_of(pair) for pair in block))
 
 
 def _complex_from_blocks(blocks: dict[int, tuple], all_above: int) -> SimplicialComplex:
@@ -91,17 +92,16 @@ def _complex_from_blocks(blocks: dict[int, tuple], all_above: int) -> Simplicial
 
     Asserts that each degree-d slice of the generated ideal is exactly
     T_d union T_d(block_d) (the construction's spanning property)."""
-    gens = {d: terminal_segment(d) | block_monomials(d, blocks[d]) for d in blocks}
-    prev = 0
+    nonfaces = prev = 0
     for d in sorted(blocks):
         # the previous slice times every variable, on the 2^N-bit view
         lifted = _upper_shadow(N, prev)
-        prev = _bits_of(N, gens[d])
+        prev = terminal_segment(d) | block_monomials(d, blocks[d])
         if lifted ^ (lifted & prev):
             raise InvariantError(f"degree-{d} slice is not spanned by its blocks")
-    nonfaces = set().union(*gens.values())
+        nonfaces |= prev
     for d in range(all_above, N + 1):
-        nonfaces.update(all_faces(N, d))
+        nonfaces |= _layer_bits(N, d)
     return from_nonfaces(N, nonfaces)
 
 
@@ -123,7 +123,7 @@ def classify_complex(cx: SimplicialComplex, degrees=DEGREES) -> QSequence:
     """Read off which terminal block each degree slice carries."""
     labels = []
     for d in degrees:
-        extra = ideal_degree_slice(cx, d) - terminal_segment(d)
+        extra = _slice_bits(cx.n, cx.bits | terminal_segment(d), d)  # the slice less T_d
         if extra == block_monomials(d, BLOCK_A):
             labels.append("A")
         elif extra == block_monomials(d, BLOCK_B):
@@ -168,10 +168,9 @@ def _witness_reproduced(classified: dict[QSequence, SimplicialComplex]) -> bool:
         partner = next((r for r in qs if r[k - 1 : k + 1] == ("B", "B")), None)
         if partner is None:
             continue
-        sharp = [m_leq_counts(ideal_degree_slice(classified[q], d)) for d in (k + 2, k + 3)]
-        flat = [m_leq_counts(ideal_degree_slice(classified[partner], d)) for d in (k + 2, k + 3)]
-        if flat[1][14] < sharp[1][14] and all(
-            flat[e][i] == sharp[e][i] for e in (0, 1) for i in range(1, N + 1) if (e, i) != (1, 14)
+        sharp, flat = m_leq_table(classified[q]), m_leq_table(classified[partner])  # [d][i]
+        if flat[k + 3][14] < sharp[k + 3][14] and all(
+            flat[d][i] == sharp[d][i] for d in (k + 2, k + 3) for i in range(1, N + 1) if (d, i) != (k + 3, 14)
         ):
             return True
     return False

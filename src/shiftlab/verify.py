@@ -106,7 +106,7 @@ def check_betti_leq(lower: BettiTable, upper: BettiTable) -> list:
 
 
 def check_m_leq(e_counts: list, c_counts: list) -> list:
-    """m_<=(D^e) >= m_<=(D^c) over the ``m_leq_counts`` of degrees 0..n:
+    """m_<=(D^e) >= m_<=(D^c) over two ``m_leq_table`` results:
     one detail [i, d] per cell where it fails."""
     ns = range(1, len(c_counts))
     return [[i, d] for d in ns for i in ns if e_counts[d][i] < c_counts[d][i]]

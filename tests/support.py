@@ -123,6 +123,15 @@ def classified_section4():
     return section4_enumerate_and_classify()
 
 
+@functools.lru_cache(maxsize=1)
+def section4_gin():
+    """Shared exterior shift of the 15-vertex construction at gin's
+    default p = 32003, seed 1 (about 3 s)."""
+    from shiftlab import gin, section4_build
+
+    return gin(section4_build(), p=32003, seed=1)
+
+
 def _brute_faces_shifted(n, faces) -> bool:
     """``brute_is_shifted`` on a frozenset of face masks."""
     for f in faces:

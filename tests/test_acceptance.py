@@ -20,7 +20,6 @@ from shiftlab import (
     mask_of,
     random_complex,
     reduced_homology_dims,
-    section4_build,
     section4_negative_results,
     shift_ij,
     shift_to_shifted,
@@ -28,7 +27,7 @@ from shiftlab import (
 )
 from shiftlab.faces import all_faces, binom
 
-from support import all_strict_complexes, brute_revlex_greater, classified_section4, s_ij_zero
+from support import all_strict_complexes, brute_revlex_greater, classified_section4, s_ij_zero, section4_gin
 
 P = 32003
 DENSITIES = (0.1, 0.25, 0.4, 0.55, 0.7, 0.85)
@@ -163,7 +162,7 @@ def test_criterion_8_no_extremal_betti_table():
 
 def test_criterion_9_gin_not_among_combinatorial_shifts():
     keys = {cx.faces for cx in classified_section4().values()}
-    g = gin(section4_build(), p=P, seed=1)
+    g = section4_gin()
     _record(9, "generic initial complex differs from every combinatorial shift", g.faces not in keys)
 
 

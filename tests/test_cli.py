@@ -5,10 +5,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from shiftlab import InvariantError, from_facets, to_json
 from shiftlab.complexes import from_json_dict
-from shiftlab import exterior, gfp, homology, lexsegment, verify
+from shiftlab import exterior, gfp, homology, lexsegment, section4, verify
 from shiftlab.cli import main
 
-from support import forbid_bit_view
+from support import classified_section4, forbid_bit_view
 
 
 @pytest.fixture
@@ -288,6 +288,17 @@ def test_verify_command(capsys):
     assert main(["verify", "--n", "4", "--trials", "3", "--seed", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["trials"] == 3 and doc["failures"] == []
+
+
+def test_section4_phases_exit_1_unless_the_16_labels_classify(monkeypatch, capsys):
+    # the negative checks alone pass on 15 of the 16 labels
+    assert main(["section4", "--phase", "negatives", "--skip-gin"]) == 0
+    fewer = dict(classified_section4())
+    del fewer[min(fewer)]
+    monkeypatch.setattr(section4, "section4_enumerate_and_classify", lambda: fewer)
+    assert main(["section4", "--phase", "classify"]) == 1
+    assert main(["section4", "--phase", "negatives", "--skip-gin"]) == 1
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["failures"] == []
 
 
 def test_section4_build_command(capsys):

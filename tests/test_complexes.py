@@ -16,7 +16,6 @@ from shiftlab import (
     ideal_slices,
     is_shifted,
     m_leq,
-    m_leq_counts,
     mask_of,
     members_of,
     minimal_nonfaces,
@@ -25,7 +24,8 @@ from shiftlab import (
     to_json,
 )
 from shiftlab import complexes
-from shiftlab.complexes import from_json_dict, from_nonfaces
+from shiftlab.complexes import from_json_dict, from_nonfaces, m_leq_table
+from shiftlab.faces import binom
 from shiftlab.section4 import section4_build
 from shiftlab.verify import random_complex
 
@@ -59,9 +59,9 @@ def test_layers_match_brute_grouping():
 
 def test_from_nonfaces_matches_from_faces():
     for cx in all_strict_complexes(4):
-        nonfaces = set(range(1 << cx.n)) - cx.faces
-        # the empty face is always re-added, and masks past 2^n are ignored
-        for given in (nonfaces, nonfaces | {0}, nonfaces | {1 << cx.n, (1 << 70) + 3}):
+        nonfaces = ((1 << (1 << cx.n)) - 1) ^ cx.bits
+        # the empty face is always re-added, and bits from 2^n on are ignored
+        for given in (nonfaces, nonfaces | 1, nonfaces | (1 << (1 << cx.n)) | (1 << 131)):
             built = from_nonfaces(cx.n, given)
             assert built == from_faces(cx.n, cx.faces)
             assert built.faces == cx.faces
@@ -70,10 +70,10 @@ def test_from_nonfaces_matches_from_faces():
 def test_from_nonfaces_refuses_what_from_faces_refuses():
     # {1, 2, 3} stays a face without {1, 2}
     with pytest.raises(ValueError, match="downward-closed"):
-        from_nonfaces(3, [mask_of([1, 2])])
+        from_nonfaces(3, 1 << mask_of([1, 2]))
     # every set holding 3 is a non-face, {3} included
-    with pytest.raises(ValueError, match="strict mode"):
-        from_nonfaces(3, [m for m in range(8) if m & 4])
+    with pytest.raises(ValueError, match="every vertex of"):
+        from_nonfaces(3, sum(1 << m for m in range(8) if m & 4))
 
 
 def test_facets_cache_is_not_a_constructor_argument():
@@ -135,7 +135,7 @@ def test_from_facets_singletons():
 
 
 def test_strict_mode_missing_singleton():
-    with pytest.raises(ValueError, match=r"strict mode requires all singletons; missing \[3\]"):
+    with pytest.raises(ValueError, match=r"every vertex of \[3\] must be a face; missing \[3\]"):
         from_facets(3, [[1, 2]])
 
 
@@ -226,7 +226,7 @@ def test_nonface_walks_refuse_n_above_20(monkeypatch):
     with pytest.raises(ValueError, match="n must be at most 20"):
         from_faces(21, points)
     with pytest.raises(ValueError, match="n must be at most 20"):
-        from_nonfaces(21, [])
+        from_nonfaces(21, 0)
     with pytest.raises(ValueError, match="n must be at most 20"):
         SimplicialComplex(21, sum(1 << f for f in points))
 
@@ -343,21 +343,39 @@ def test_m_leq_example():
 
 
 def test_m_leq_counts_match_direct_count():
-    corpus = list(all_strict_complexes(4))
+    # m_leq on the unpacked slices and m_leq_table on the bit view agree
+    # with a direct count, on every complex with n <= 4 and random ones
+    corpus = [cx for n in range(1, 5) for cx in all_strict_complexes(n)]
     corpus += [random_complex(n, density, seed) for n in (6, 8, 9)
                for density in (0.1, 0.4) for seed in range(3)]
     for cx in corpus:
         slices = ideal_slices(cx)
+        table = m_leq_table(cx)
+        assert len(table) == cx.n + 1 and {len(row) for row in table} == {21}
         for d in range(cx.n + 2):  # d = n + 1 is a missing degree
             s = slices.get(d, frozenset())
-            counts = m_leq_counts(s)
             for i in range(-1, cx.n + 2):
                 want = sum(1 for m in s if m.bit_length() <= i)
                 assert m_leq(slices, i, d) == want
-                if i >= 0:
-                    assert counts[i] == want
+                if 0 <= i and d <= cx.n:
+                    assert table[d][i] == want
     assert m_leq({}, 3, 2) == 0
-    assert m_leq_counts([]) == [0] * 21
+    assert m_leq_table(full_simplex(3)) == [[0] * 21] * 4
+
+
+@pytest.mark.parametrize("n", [18, 20])
+def test_m_leq_table_at_the_top_of_the_range(n):
+    # non-faces through vertex n in every degree 2..n, so that m_<=(n-1)
+    # and m_<=n differ; at n = 18 the entries i = 19, 20 lie past n
+    cx = from_facets(n, [[v] for v in range(1, n + 1)] + [[1, 2, n], [3, n - 1, n], [n - 2, n - 1], [5, n]])
+    faces = cx.faces
+    table = m_leq_table(cx)
+    for d in range(n + 1):
+        for i in range(21):
+            # the d-subsets of [min(i, n)], less the faces among them
+            faces_below = sum(1 for f in faces if f.bit_count() == d and f.bit_length() <= i)
+            assert table[d][i] == binom(min(i, n), d) - faces_below, (d, i)
+    assert table[2][n] > table[2][n - 1]
 
 
 def test_subset_count_identity():

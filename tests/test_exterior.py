@@ -15,7 +15,6 @@ from shiftlab import (
     ideal_slices,
     is_shifted,
     m_leq,
-    m_leq_counts,
     mask_of,
     members_of,
     minimal_nonfaces,
@@ -38,12 +37,22 @@ def slice_rows(cx, d):
     return sorted(ideal_degree_slice(cx, d))
 
 
+def slice_bits(cx):
+    """The degree slices of I_cx as bit views, keyed by degree."""
+    return {d: complexes._slice_bits(cx.n, cx.bits, d) for d in range(cx.n + 1)}
+
+
+def unpacked(bits):
+    return frozenset(complexes._mask_list(bits))
+
+
 def one_draw_counts(cx, d, seed):
     """m_<= counts of the degree-d pivots of a single coordinate draw:
     by the ascending-mask column order, c[i] is the rank of the first
     C(i, d) columns."""
     phi = random_gl(cx.n, P, seed)
-    return m_leq_counts(exterior._gin_draw(ideal_slices(cx), phi)[d])
+    pivots = {d: unpacked(exterior._gin_draw(slice_bits(cx), phi)[d])}
+    return [m_leq(pivots, i, d) for i in range(cx.n + 1)]
 
 
 def test_random_gl_basics():
@@ -329,13 +338,14 @@ def test_face_side_matches_ideal_side():
             slice_d = ideal_degree_slice(cx, d)
             if not 0 < len(slice_d) < binom(n, d):
                 continue
+            bits_d = complexes._slice_bits(n, cx.bits, d)
             for phi in draws:
                 ideal = direct_eliminate(slice_d, d, phi, on_faces=False)
                 assert direct_eliminate(slice_d, d, phi, on_faces=True) == ideal
                 for on_faces in (False, True):
-                    assert exterior._eliminate(slice_d, d, phi, on_faces) == ideal
+                    assert unpacked(exterior._eliminate(bits_d, d, phi, on_faces)) == ideal
             for on_faces in (False, True):
-                assert exterior._eliminate(slice_d, d, identity, on_faces) == slice_d
+                assert exterior._eliminate(bits_d, d, identity, on_faces) == bits_d
             compared[binom(n, d) - len(slice_d) < len(slice_d)] += 1
             complemented += 2 * d > n
     assert min(compared.values()) >= 100
@@ -352,7 +362,7 @@ def test_gin_draw_matches_direct_elimination():
     for t in range(70):
         n = 3 + t % 7
         cx = random_facet_complex(rng, n)
-        slices = ideal_slices(cx)
+        slices, bits = ideal_slices(cx), slice_bits(cx)
         upper = np.triu(np.random.default_rng(t).integers(1, P, size=(n, n)))
         draws = (
             random_gl(n, P, 700 + t),
@@ -362,14 +372,14 @@ def test_gin_draw_matches_direct_elimination():
             GenericMatrix(n, P, 0, upper),
         )
         for phi in draws:
-            got = exterior._gin_draw(slices, phi)
+            got = exterior._gin_draw(bits, phi)
             assert sorted(got) == list(range(n + 1))
             for d, slice_d in slices.items():
                 if 0 < len(slice_d) < binom(n, d):
-                    assert got[d] == direct_eliminate(slice_d, d, phi, on_faces=False)
+                    assert unpacked(got[d]) == direct_eliminate(slice_d, d, phi, on_faces=False)
                     compared += 1
                 else:
-                    assert got[d] == slice_d
+                    assert got[d] == bits[d]
     assert compared >= 1000
 
 
@@ -408,7 +418,7 @@ def test_gin_degree_eliminates_on_smaller_side(monkeypatch):
         return M, col_masks
 
     monkeypatch.setattr(exterior, "phi_image_matrix", recorded)
-    exterior._gin_draw(slices, phi)
+    exterior._gin_draw(slice_bits(cx), phi)
 
     # the draw's non-faces: the slice where it is empty or full, else None
     # until the degree is eliminated, in gin's order
@@ -441,24 +451,27 @@ def test_rank_check_guards_both_routes(monkeypatch):
     cx = random_facet_complex(random.Random(13), 8)
     phi = random_gl(8, P, 5)
     for d in (3, 6):  # both slices are neither empty nor full
-        slice_d = ideal_degree_slice(cx, d)
+        slice_d = complexes._slice_bits(8, cx.bits, d)
+        assert 0 < slice_d.bit_count() < binom(8, d)
         for on_faces in (False, True):
             with pytest.raises(InvariantError, match="must be independent"):
                 exterior._eliminate(slice_d, d, phi, on_faces)
 
 
 def test_gin_builds_each_slice_once(monkeypatch):
+    # the draws also read slices of their own results; a slice of the
+    # input is one of the input's bits
     calls = []
-    real = complexes.ideal_degree_slice
+    real = exterior._slice_bits
 
-    def counted(cx, d):
-        calls.append(d)
-        return real(cx, d)
+    def counted(n, bits, d):
+        calls.append((bits, d))
+        return real(n, bits, d)
 
-    monkeypatch.setattr(complexes, "ideal_degree_slice", counted)
+    monkeypatch.setattr(exterior, "_slice_bits", counted)
     cx = random_facet_complex(random.Random(14), 7)
     gin(cx, seed=3)
-    assert sorted(calls) == list(range(cx.n + 1))
+    assert sorted(d for bits, d in calls if bits == cx.bits) == list(range(cx.n + 1))
 
 
 def test_genericity_error_names_first_differing_degree(monkeypatch):

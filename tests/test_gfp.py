@@ -3,7 +3,7 @@ import functools
 import numpy as np
 import pytest
 
-from shiftlab import gfp
+from shiftlab import from_facets, gin, gfp, hochster_betti
 
 from support import brute_pivot_columns, columnwise_pivot_columns
 
@@ -113,3 +113,16 @@ def test_bool_and_empty_input_is_accepted():
     assert gfp.pivot_columns([[False, True], [True, True]], 2) == [0, 1]
     assert (gfp.inverse(np.array([[True, False], [True, True]]), 2) == [[1, 0], [1, 1]]).all()
     assert gfp.pivot_columns([[]], 3) == []
+
+
+def test_a_float_field_size_is_refused_after_its_integer_is_cached():
+    cx = from_facets(3, [[1, 2], [3]])
+    mat = np.eye(2, dtype=int)
+    for p in (32003, np.int64(32003)):
+        assert gin(cx, p=p).n == 3
+        assert hochster_betti(cx, p) == hochster_betti(cx, 2)
+        assert gfp.pivot_columns(mat, p) == [0, 1]
+    for call in (lambda: gin(cx, p=32003.0), lambda: hochster_betti(cx, 32003.0),
+                 lambda: gfp.pivot_columns(mat, 32003.0), lambda: gfp.check_field(np.float64(3))):
+        with pytest.raises(ValueError, match="is not an integer"):
+            call()

@@ -17,6 +17,7 @@ from shiftlab import (
     shifted_betti,
 )
 from shiftlab import section4
+from shiftlab.complexes import _mask_list
 from shiftlab.faces import binom
 from shiftlab.section4 import (
     BLOCK_A,
@@ -29,7 +30,7 @@ from shiftlab.section4 import (
     terminal_segment,
 )
 
-from support import classified_section4
+from support import classified_section4, section4_gin
 
 
 def test_constants():
@@ -43,7 +44,7 @@ def test_constants():
 
 
 def test_terminal_segment_threshold():
-    t3 = terminal_segment(3)
+    t3 = set(_mask_list(terminal_segment(3)))
     # the threshold monomial {1,12,13} itself is excluded
     assert mask_of([1, 12, 13]) not in t3
     assert mask_of([1, 11, 12]) in t3
@@ -51,7 +52,7 @@ def test_terminal_segment_threshold():
 
 
 def test_block_monomials_degree3():
-    got = block_monomials(3, ((12, 13), (12, 15), (13, 14)))
+    got = set(_mask_list(block_monomials(3, ((12, 13), (12, 15), (13, 14)))))
     want = {mask_of([1, 12, 13]), mask_of([1, 12, 15]), mask_of([1, 13, 14])}
     assert got == want
 
@@ -103,12 +104,24 @@ def test_positive_results_hold_on_the_fifteen_vertex_complex():
         assert betti_leq(betti_c, lex), q
 
 
+def test_exterior_shift_lies_between_the_complex_and_its_combinatorial_shifts():
+    # the paper's (i), beta(D^e) <= beta(D^c) for every classified D^c, and
+    # the Aramova-Herzog-Hibi link beta(D) <= beta(D^e), with Hochster's
+    # sum over gin's field, p = 32003
+    betti_e = shifted_betti(section4_gin())
+    assert betti_leq(hochster_betti(section4_build(), 32003), betti_e)
+    classified = classified_section4()
+    assert len(classified) == 16
+    for q, shifted in classified.items():
+        assert betti_leq(betti_e, shifted_betti(shifted)), q
+
+
 def test_build_refuses_a_slice_its_blocks_do_not_span(monkeypatch):
     # {1, 2, 3, 4} lies over {1, 2, 3} in T_3; without it in T_4 the
     # degree-4 slice of the generated ideal is larger than its blocks
     real = section4.terminal_segment
-    missing = mask_of([1, 2, 3, 4])
-    assert mask_of([1, 2, 3]) in real(3) and missing in real(4)
-    monkeypatch.setattr(section4, "terminal_segment", lambda d: real(d) - {missing})
+    missing = 1 << mask_of([1, 2, 3, 4])
+    assert real(3) >> mask_of([1, 2, 3]) & 1 and real(4) & missing
+    monkeypatch.setattr(section4, "terminal_segment", lambda d: real(d) ^ (real(d) & missing))
     with pytest.raises(InvariantError, match="degree-4 slice is not spanned by its blocks"):
         section4._truncated_build()

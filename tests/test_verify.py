@@ -5,8 +5,6 @@ import pytest
 from shiftlab import (
     from_facets,
     hochster_betti,
-    ideal_slices,
-    m_leq_counts,
     random_complex,
     section4_negative_results,
     shift_to_shifted,
@@ -14,7 +12,7 @@ from shiftlab import (
     verify_theorems,
 )
 from shiftlab import section4, verify
-from shiftlab.complexes import full_simplex
+from shiftlab.complexes import full_simplex, m_leq_table
 from shiftlab.faces import mask_of
 from shiftlab.verify import (
     VerificationReport,
@@ -154,7 +152,7 @@ def test_betti_checks_trip_on_swapped_tables():
 
 
 def test_m_leq_check_trips_on_lowered_counts():
-    counts = [m_leq_counts(s) for s in ideal_slices(TWO_EDGES).values()]
+    counts = m_leq_table(TWO_EDGES)
     assert check_m_leq(counts, counts) == []
     lowered = [list(c) for c in counts]
     lowered[2][4] -= 1
