@@ -54,8 +54,11 @@ def _cmd_betti(args) -> int:
 def _parse_pairs(text: str) -> list[tuple[int, int]]:
     pairs = []
     for token in text.split():
-        i, j = token.split(",")
-        pairs.append((int(i), int(j)))
+        try:
+            i, j = map(int, token.split(","))
+        except ValueError:
+            raise ValueError(f"pair {token!r} is not of the form i,j with integers i and j") from None
+        pairs.append((i, j))
     return pairs
 
 

@@ -13,10 +13,10 @@ the columns that carry a pivot.  The rank of the matrix, or of any
 column prefix, is the number of pivots inside it.  The pivot set is the
 column rank profile, which depends only on the row space, so the
 elimination is free to choose its pivot rows: it keeps the rows without
-a pivot together, scans the columns in blocks and applies its delayed
-updates only to those live rows and to the columns right of the scan
-(the blocked elimination of Dumas, Pernet and Sultan, ISSAC 2013, keeps
-the same profile).  :func:`inverse` is a separate Gauss-Jordan
+a pivot together and applies its delayed updates only to those live
+rows and to the columns right of the current one (the blocked
+elimination of Dumas, Pernet and Sultan, ISSAC 2013, keeps the same
+profile).  :func:`inverse` is a separate Gauss-Jordan
 elimination for the small square coordinate changes.
 """
 
@@ -27,7 +27,6 @@ from functools import lru_cache
 import numpy as np
 
 _PANEL = 128
-_SCAN = 8
 
 
 class SingularMatrixError(ValueError):
@@ -77,21 +76,18 @@ def pivot_columns(mat, p: int) -> list[int]:
       of the matrix; a pivot row is retired by moving the last live
       row into its slot.
     - Delayed ("panel") updates.  Pivot k writes column k of F and the
-      trailing columns of row k of R; the rank-k correction F @ R is
-      applied on demand, and when the panel holds w = min(_PANEL, m)
+      trailing columns of row k of R.  Each column is brought up to
+      date on the live rows by one F @ R product, and its largest live
+      entry picks the pivot row; when the panel holds w = min(_PANEL, m)
       pivots one product updates the live rows on the trailing columns
       and the panel starts again.
-    - A block scan.  Columns are read _SCAN at a time: one F @ R
-      product brings a block up to date on the live rows, and the first
-      column nonzero on them is the next pivot.  A rank-1 update then
-      fixes the rest of the block for the new pivot.
 
     Exactness: entries are below p, so a panel product adds at most
-    _PANEL products each at most (p-1)**2 to a value below p, and a
-    rank-1 update adds one; check_field keeps both below 2**53.  Every
-    update is reduced mod p before it is read, and restricting updates
-    to live rows, trailing columns or a block changes which entries a
-    product covers, not how many terms any of its sums holds.
+    _PANEL products each at most (p-1)**2 to a value below p, which
+    check_field keeps below 2**53.  Every update is reduced mod p
+    before it is read, and restricting updates to live rows or
+    trailing columns changes which entries a product covers, not how
+    many terms any of its sums holds.
     """
     p = check_field(p)
     M = _residues(mat, p)
@@ -105,41 +101,26 @@ def pivot_columns(mat, p: int) -> list[int]:
     live = m  # rows 0..live-1 hold no pivot
     pivots: list[int] = []
 
-    for lo in range(0, nc, _SCAN):
-        hi = min(lo + _SCAN, nc)
-        # with no pending panel the block is a view of M; writing to it
-        # touches only columns that are never read again
-        block = M[:live, lo:hi]
-        if k:
-            block = (block - F[:live, :k] @ R[:k, lo:hi]) % p
-        j = 0  # the block's columns before j are done
-        while j < hi - lo:
-            nonzero = block[:, j:].any(axis=0)
-            step = int(nonzero.argmax())
-            if not nonzero[step]:
-                break
-            j += step
-            pivots.append(lo + j)
-            col = block[:, j]
-            t = int(col.argmax())  # any live row that is nonzero here will do
-            R[k, hi:] = (M[t, hi:] - F[t, :k] @ R[:k, hi:]) % p if k else M[t, hi:]
-            F[:live, k] = col * pow(int(col[t]), p - 2, p) % p
-            j += 1
-            block[:, j:] = (block[:, j:] - F[:live, k, None] * block[t, j:]) % p
-            live -= 1
-            if live == 0:
-                return pivots
-            # retire row t: the last live row takes its slot
-            M[t, hi:] = M[live, hi:]
-            F[t, : k + 1] = F[live, : k + 1]
-            block[t] = block[live]
-            block = block[:live]
-            k += 1
-            if k == w:
-                trailing = M[:live, hi:]
-                trailing -= F[:live] @ R[:, hi:]
-                trailing %= p
-                k = 0
+    for c in range(nc):
+        col = (M[:live, c] - F[:live, :k] @ R[:k, c]) % p if k else M[:live, c]
+        t = int(col.argmax())
+        if not col[t]:
+            continue
+        pivots.append(c)
+        R[k, c + 1 :] = (M[t, c + 1 :] - F[t, :k] @ R[:k, c + 1 :]) % p if k else M[t, c + 1 :]
+        F[:live, k] = col * pow(int(col[t]), p - 2, p) % p
+        live -= 1
+        if live == 0:
+            return pivots
+        # retire row t: the last live row takes its slot
+        M[t, c + 1 :] = M[live, c + 1 :]
+        F[t, : k + 1] = F[live, : k + 1]
+        k += 1
+        if k == w:
+            trailing = M[:live, c + 1 :]
+            trailing -= F[:live] @ R[:, c + 1 :]
+            trailing %= p
+            k = 0
     return pivots
 
 

@@ -17,6 +17,7 @@ import random
 from dataclasses import dataclass, field
 from time import perf_counter
 
+from . import gfp
 from .complexes import (
     SimplicialComplex,
     check_ground_set,
@@ -122,14 +123,16 @@ def verify_theorems(
     lexsegment companions, the exterior vs. combinatorial comparison,
     the m_<= domination, and a sampled single-step Betti monotonicity
     check.  Trial sizes are drawn from 2..n, so n outside
-    2..MAX_WALK_N is refused before the first trial, as is a negative
-    number of trials; zero trials is the empty run.
+    2..MAX_WALK_N is refused before the first trial, as are a negative
+    number of trials and a field size p that check_field refuses; zero
+    trials is the empty run.
     """
     check_ground_set(n)
     if n < 2:
         raise ValueError("n must be at least 2: each trial draws a complex on 2..n vertices")
     if trials < 0:
         raise ValueError("trials must be at least 0")
+    gfp.check_field(p)
     t0 = perf_counter()
     report = VerificationReport()
     rng = random.Random(seed)

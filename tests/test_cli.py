@@ -120,6 +120,21 @@ def test_verify_refuses_negative_trials(monkeypatch, capsys):
     assert out.err.splitlines() == ["shiftlab: error: trials must be at least 0"]
 
 
+@pytest.mark.parametrize("trials", ["0", "1"])
+def test_verify_refuses_a_bad_field_before_any_trial(monkeypatch, trials, capsys):
+    # zero trials used to print an empty report and exit 0; one trial ran
+    # Hochster's sum before the field was checked
+    def no_trial(*args):
+        raise AssertionError("a trial started")
+
+    monkeypatch.setattr(verify, "random_complex", no_trial)
+    assert main(["verify", "--n", "4", "--trials", trials, "--prime", "4"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert len(out.err.splitlines()) == 1
+    assert out.err.startswith("shiftlab: error: field size 4 is not a prime")
+
+
 @pytest.mark.parametrize(
     "command, flags",
     [
@@ -234,6 +249,17 @@ def test_shift_command_pairs(path_graph_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["sequence"] == [[2, 3]]
     assert from_json_dict({k: doc[k] for k in ("n", "facets", "mode")}).n == 3
+
+
+@pytest.mark.parametrize("token", ["1,3,4", "1", "a,b"])
+def test_shift_refuses_a_malformed_pair(path_graph_path, token, capsys):
+    # these used to surface as unpacking or int() messages
+    assert main(["shift", path_graph_path, "--pairs", f"1,2 {token}"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == [
+        f"shiftlab: error: pair {token!r} is not of the form i,j with integers i and j"
+    ]
 
 
 def test_shift_command_auto(path_graph_path, capsys):

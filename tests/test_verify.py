@@ -64,6 +64,16 @@ def test_verify_theorems_refuses_negative_trials():
         verify_theorems(n=4, trials=-1, seed=1)
 
 
+@pytest.mark.parametrize("trials", [0, 1])
+def test_verify_theorems_refuses_a_bad_field_before_any_trial(monkeypatch, trials):
+    def no_trial(*args):
+        raise AssertionError("a trial started")
+
+    monkeypatch.setattr(verify, "random_complex", no_trial)
+    with pytest.raises(ValueError, match="field size 4 is not a prime"):
+        verify_theorems(n=4, trials=trials, p=4, seed=1)
+
+
 def test_report_empty_run():
     report = verify_theorems(n=4, trials=0, seed=1)
     assert report.trials == 0
