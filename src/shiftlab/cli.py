@@ -18,12 +18,11 @@ from .complexes import (
     ShiftlabError,
     f_vector,
     from_json,
-    ideal_slices,
     minimal_nonfaces,
     to_json_dict,
 )
 from .exterior import gin
-from .faces import members_of
+from .faces import binom, members_of
 from .homology import betti_tsv, hochster_betti, shifted_betti
 from .lexsegment import delta_lex
 from .shifting import enumerate_shifted, replay, shift_to_shifted
@@ -88,15 +87,16 @@ def _cmd_gin(args) -> int:
     gens_by_degree: dict[int, list] = {}
     for g in minimal_nonfaces(result):
         gens_by_degree.setdefault(g.bit_count(), []).append(list(members_of(g)))
-    slices = ideal_slices(result)
+    f = f_vector(result) + (0,) * result.n  # f[d - 1] d-faces, the other d-sets are pivots
+    pivots = {d: binom(result.n, d) - f[d - 1] for d in range(1, result.n + 1)}
     report = [
         {
             "degree": d,
-            "pivot_count": len(slices[d]),
+            "pivot_count": count,
             "new_generators": gens_by_degree.get(d, []),
         }
-        for d in range(1, result.n + 1)
-        if slices[d]
+        for d, count in pivots.items()
+        if count
     ]
     print(json.dumps({"complex": to_json_dict(result), "pivot_report": report}))
     return 0

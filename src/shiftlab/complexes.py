@@ -7,8 +7,8 @@ iff the mask f is a face, so at n = 20 the whole face family takes
 or misses a vertex: every singleton {j}, j in [n], is a face, as in the
 paper.  Complexes are immutable and compare and hash by (n, bits);
 every operation returns a new value, so instances are safe to share
-across threads.  ``faces`` (a frozenset of masks), ``layers`` and the
-facets are views derived from ``bits`` when first read.
+across threads.  ``faces`` (a frozenset of masks) and the facets are
+views derived from ``bits`` when first read.
 
 Closure, shiftedness, the exchange operators of ``shifting``, the
 facets, the minimal non-faces and the degree slices of I_Delta run on
@@ -74,16 +74,10 @@ class SimplicialComplex:
         """The face masks, unpacked from ``bits``."""
         return frozenset(_mask_list(self.bits))
 
-    @cached_property
-    def layers(self) -> tuple[tuple[int, ...], ...]:
-        """The faces by size: layers[k] holds the k-vertex faces in
-        ascending mask order, for k = 0 .. dim+1."""
-        return _layers(self.bits)
-
     @property
     def dim(self) -> int:
         """Dimension: max face cardinality minus one."""
-        return len(self.layers) - 2
+        return len(f_vector(self)) - 1
 
     @cached_property
     def _facets(self) -> tuple[int, ...]:
@@ -112,16 +106,6 @@ def _mask_list(bits: int) -> list[int]:
     """The masks f whose bit f is set in ``bits``, ascending."""
     raw = np.frombuffer(bits.to_bytes((bits.bit_length() + 7) >> 3, "little"), dtype=np.uint8)
     return np.flatnonzero(np.unpackbits(raw, bitorder="little").view(bool)).tolist()
-
-
-def _layers(bits: int) -> tuple[tuple[int, ...], ...]:
-    """The masks f whose bit f is set in ``bits``, by size: entry k holds
-    the k-member masks, ascending, for k up to the largest size present."""
-    masks = _mask_list(bits)
-    by_size: list[list[int]] = [[] for _ in range(max(map(int.bit_count, masks), default=-1) + 1)]
-    for f in masks:
-        by_size[f.bit_count()].append(f)
-    return tuple(map(tuple, by_size))
 
 
 def _by_degree(masks: Iterable[int]) -> tuple[int, ...]:

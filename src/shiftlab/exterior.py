@@ -229,30 +229,29 @@ def _eliminate(slice_d: int, d: int, phi: GenericMatrix, on_faces: bool, cols: S
     built (all d-subsets by default); each column left out must carry
     no pivot, so the pivots among the others are unchanged.
 
-    When 2d > n the matrix is built from the complementary rows in
-    degree n - d under the other matrix of the draw (phi^{-T} on the
-    ideal side, phi on the face side), its columns reversed and mapped
-    back to their complements: by Jacobi's theorem it differs from the
-    degree-d matrix only by nonzero row scalars and column signs, which
-    leave every pivot in place.  The rank check guards both routes.
+    When 2d > n the matrix is built from the complementary rows and
+    columns (``flip`` is [n], else 0) in degree n - d under the other
+    matrix of the draw (phi^{-T} on the ideal side, phi on the face
+    side), and its pivots are mapped back to their complements: by
+    Jacobi's theorem it differs from the degree-d matrix only by nonzero
+    row scalars and column signs, which leave every pivot in place.
+    Complementing reverses the ascending column order, so the columns
+    are reversed exactly when phi^{-T} builds the matrix.  The rank
+    check guards every route.
     """
     n = phi.n
     layer = _layer_bits(n, d)
     rows = _mask_list(layer ^ slice_d if on_faces else slice_d)
-    if 2 * d > n:
-        # complementing reverses the ascending column order
-        full = (1 << n) - 1
-        back = None if cols is None else [full ^ c for c in reversed(cols)]
-        M, cols = phi_image_matrix([full ^ m for m in rows], n - d, phi.entries if on_faces else phi.dual, phi.p, back)
-        M, cols = M[:, ::-1], tuple(full ^ c for c in reversed(cols))
-    else:
-        M, cols = phi_image_matrix(rows, d, phi.dual if on_faces else phi.entries, phi.p, cols)
-    if on_faces:
-        M, cols = M[:, ::-1], cols[::-1]
+    flip = (1 << n) - 1 if 2 * d > n else 0
+    dual = on_faces != bool(flip)
+    built = None if cols is None else sorted(flip ^ c for c in cols)
+    M, built = phi_image_matrix([flip ^ m for m in rows], min(d, n - d), phi.dual if dual else phi.entries, phi.p, built)
+    if dual:
+        M, built = M[:, ::-1], built[::-1]
     pivots = gfp.pivot_columns(M, phi.p)
     if len(pivots) != len(rows):
         raise InvariantError("rows of an invertible compound matrix must be independent")
-    lead = _bits_of(n, (cols[c] for c in pivots))
+    lead = _bits_of(n, (flip ^ built[c] for c in pivots))
     return layer ^ lead if on_faces else lead
 
 

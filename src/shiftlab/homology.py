@@ -7,14 +7,15 @@ paths are provided:
 * :func:`hochster_betti` sums reduced homology dimensions of induced
   subcomplexes over all vertex subsets (valid for any complex), each
   taken relative to the closed star of one of its vertices;
-* :func:`shifted_betti` evaluates the closed formula in terms of the
-  m_<= statistics of the ideal's degree slices (valid for shifted
+* :func:`shifted_betti` sums over the minimal generators, counted from
+  the m_<= statistics of the ideal's degree slices (valid for shifted
   complexes, field independent).
 
 Every boundary rank, over every field, comes from one sparse elimination
-mod p with clearing (:func:`_reduced_dims`), with no matrix and no numpy
-call per map.  :func:`boundary_matrix` builds the same maps as numpy
-arrays for independent checks.
+mod p with clearing (:func:`_reduced_dims`) over one flat list of face
+masks, with no matrix and no numpy call per map.
+:func:`boundary_matrix` builds the same maps as numpy arrays for
+independent checks.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from . import gfp
 from .complexes import (
     InvariantError,
     SimplicialComplex,
-    _layers,
+    _mask_list,
     _vertex_bits,
     is_shifted,
     m_leq_table,
@@ -39,15 +40,16 @@ def boundary_matrix(cx: SimplicialComplex, k: int, p: int) -> np.ndarray:
     """Matrix of the boundary map C_k -> C_{k-1} over GF(p).
 
     Rows are indexed by the sorted (k-1)-faces, columns by the sorted
-    k-faces (a k-face has k+1 vertices): ``cx.layers[k]`` and
-    ``cx.layers[k+1]``.  For k = 0 the rows are the empty face, so every
-    vertex maps to the generator of C_{-1} (the augmentation).
+    k-faces (a k-face has k+1 vertices).  For k = 0 the rows are the
+    empty face, so every vertex maps to the generator of C_{-1} (the
+    augmentation).
     """
     p = gfp.check_field(p)
     if k < 0:
         raise ValueError("k must be nonnegative")
-    # layers past dim+1 are empty
-    rows, cols = (cx.layers[k : k + 2] + ((), ()))[:2]
+    masks = _mask_list(cx.bits)
+    rows = [f for f in masks if f.bit_count() == k]
+    cols = [f for f in masks if f.bit_count() == k + 1]
     row_idx = {f: r for r, f in enumerate(rows)}
     M = np.zeros((len(rows), len(cols)), dtype=np.int64)
     for c, f in enumerate(cols):
@@ -56,51 +58,52 @@ def boundary_matrix(cx: SimplicialComplex, k: int, p: int) -> np.ndarray:
     return M
 
 
-def _reduced_dims(layers, p: int) -> tuple[int, ...]:
-    """Reduced homology dimensions of the chain complex whose basis, by
-    size, is ``layers`` (each in ascending mask order): the faces of a
-    complex, or, for homology relative to a subcomplex, the faces outside
-    it.  In the relative case the low layers may be empty (in Hochster's
-    sum the empty face is always in the subcomplex), and a boundary face
-    that is not in ``layers`` lies in the subcomplex and is dropped.
+def _reduced_dims(masks: list[int], p: int) -> tuple[int, ...]:
+    """Reduced homology dimensions, entry k for the k-vertex faces up to
+    the largest, of the chain complex whose basis is the faces ``masks``:
+    the faces of a complex, or, for homology relative to a subcomplex,
+    the faces outside it.  A boundary face not in ``masks`` then lies in
+    the subcomplex and is dropped (in Hochster's sum the empty face
+    always does).
 
-    A column of d_{k-1}, for a k-vertex face, is a dict from the row
-    indices of its (k-1)-vertex faces to the signs 1 and p-1, alternating
-    from the lowest vertex up.  It is reduced into a basis keyed by its
-    highest row index; the rank is the size of the basis.  Degrees run
-    from the top down with clearing (Chen and Kerber, "Persistent
-    homology computation with a twist"): a face keying a basis column of
-    d_k is no column of d_{k-1}, since d d = 0 puts its boundary in the
-    span of the boundaries of lower faces.
+    The column of a k-vertex face is a dict from its (k-1)-vertex faces
+    to the signs 1 and p-1, alternating from the lowest vertex up,
+    reduced into a basis keyed by its largest face mask.  Faces run from
+    the largest size down with clearing (Chen and Kerber, "Persistent
+    homology computation with a twist"): a face keying a basis column is
+    no column, since d d = 0 puts its boundary in the span of the
+    boundaries of lower faces.  Neither the clearing nor the ranks depend
+    on the order within a size.
     """
-    # ranks[i] = rank of d_{i-1}, from layers[i] to layers[i-1]; d_{-1} = 0
-    ranks = [0] * (len(layers) + 1)
-    cleared = set()
-    for i in range(len(layers) - 1, 0, -1):
-        index = {f: r for r, f in enumerate(layers[i - 1])}
-        basis: dict[int, dict[int, int]] = {}
-        for f in layers[i]:
-            if f in cleared:
-                continue
-            col, sign, rest = {}, 1, f
-            while rest:
-                low = rest & -rest
-                if (r := index.get(f ^ low)) is not None:
-                    col[r] = sign
-                sign, rest = p - sign, rest ^ low
-            while col and (top := max(col)) in basis:
-                pivot = basis[top]
-                c = col[top] * pow(pivot[top], -1, p) % p
-                for r, v in pivot.items():
-                    if x := (col.get(r, 0) - c * v) % p:
-                        col[r] = x
-                    else:
-                        del col[r]
-            if col:
-                basis[top] = col
-        ranks[i] = len(basis)
-        cleared = {layers[i - 1][r] for r in basis}
-    return tuple(len(layer) - ranks[i] - ranks[i + 1] for i, layer in enumerate(layers))
+    faces = set(masks)
+    basis: dict[int, dict[int, int]] = {}
+    for f in sorted(masks, key=int.bit_count, reverse=True):
+        if f in basis:
+            continue
+        col, sign, rest = {}, 1, f
+        while rest:
+            low = rest & -rest
+            if (g := f ^ low) in faces:
+                col[g] = sign
+            sign, rest = p - sign, rest ^ low
+        while col and (top := max(col)) in basis:
+            pivot = basis[top]
+            c = col[top] * pow(pivot[top], -1, p) % p
+            for r, v in pivot.items():
+                if x := (col.get(r, 0) - c * v) % p:
+                    col[r] = x
+                else:
+                    del col[r]
+        if col:
+            basis[top] = col
+    largest = max(map(int.bit_count, masks), default=-1)
+    # keys[k] is the rank of the map onto the k-vertex faces; keys[-1] = 0
+    size, keys = [0] * (largest + 2), [0] * (largest + 2)
+    for f in masks:
+        size[f.bit_count()] += 1
+    for f in basis:
+        keys[f.bit_count()] += 1
+    return tuple(size[k] - keys[k] - keys[k - 1] for k in range(largest + 1))
 
 
 def reduced_homology_dims(cx: SimplicialComplex, p: int) -> tuple[int, ...]:
@@ -111,7 +114,7 @@ def reduced_homology_dims(cx: SimplicialComplex, p: int) -> tuple[int, ...]:
     :func:`_reduced_dims`, the one sparse elimination for every p.
     """
     p = gfp.check_field(p)
-    return _reduced_dims(cx.layers, p)
+    return _reduced_dims(_mask_list(cx.bits), p)
 
 
 def _subsets_below(n: int):
@@ -167,7 +170,7 @@ def hochster_betti(cx: SimplicialComplex, p: int) -> BettiTable:
         relative = _outside_star(d, v, h[v])
         if not relative:
             continue
-        for k, dim_k in enumerate(_reduced_dims(_layers(relative), p), start=-1):
+        for k, dim_k in enumerate(_reduced_dims(_mask_list(relative), p), start=-1):
             if dim_k == 0:
                 continue
             j = k + 2
@@ -179,9 +182,10 @@ def hochster_betti(cx: SimplicialComplex, p: int) -> BettiTable:
 def shifted_betti(cx: SimplicialComplex) -> BettiTable:
     """Betti table of a shifted complex from m_<= counts alone.
 
-    beta_{i,i+j} = m_<=n(I,j) C(n-j,i)
-                   - sum_{k=j}^{n-1} m_<=k(I,j) C(k-j,i-1)
-                   - sum_{k=j}^{n}   m_<=k-1(I,j-1) C(k-j,i)
+    g = m_<=k(I,j) - m_<=k-1(I,j) - m_<=k-1(I,j-1) counts the minimal
+    generators of degree j with largest index k: in a squarefree strongly
+    stable ideal u is one iff u / x_k is not in the ideal.  Then
+    beta_{i,i+j} = sum over k of g C(k-j, i) (Aramova, Herzog and Hibi).
     """
     if not is_shifted(cx):
         raise ValueError("shifted_betti requires a shifted complex")
@@ -189,16 +193,13 @@ def shifted_betti(cx: SimplicialComplex) -> BettiTable:
     m = m_leq_table(cx)  # m[d][k] = m_<=k(I, d)
     table: BettiTable = {}
     for j in range(1, n + 1):
-        if not m[j][n] and not m[j - 1][n]:
-            continue
-        for i in range(0, n - j + 1):
-            val = m[j][n] * binom(n - j, i)
-            val -= sum(m[j][k] * binom(k - j, i - 1) for k in range(j, n))
-            val -= sum(m[j - 1][k - 1] * binom(k - j, i) for k in range(j, n + 1))
-            if val < 0:
-                raise InvariantError(f"negative Betti number at {(i, j)}: formula misuse")
-            if val:
-                table[(i, j)] = val
+        for k in range(j, n + 1):
+            g = m[j][k] - m[j][k - 1] - m[j - 1][k - 1]
+            if g < 0:
+                raise InvariantError(f"negative generator count in degree {j} at index {k}: formula misuse")
+            if g:
+                for i in range(k - j + 1):
+                    table[(i, j)] = table.get((i, j), 0) + g * binom(k - j, i)
     return table
 
 

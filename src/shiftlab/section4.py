@@ -119,10 +119,10 @@ def _tail_pairs() -> list[tuple[int, int]]:
     return [(i, j) for i in range(12, 16) for j in range(i + 1, 16)]
 
 
-def classify_complex(cx: SimplicialComplex, degrees=DEGREES) -> QSequence:
+def classify_complex(cx: SimplicialComplex) -> QSequence:
     """Read off which terminal block each degree slice carries."""
     labels = []
-    for d in degrees:
+    for d in DEGREES:
         extra = _slice_bits(cx.n, cx.bits | terminal_segment(d), d)  # the slice less T_d
         if extra == block_monomials(d, BLOCK_A):
             labels.append("A")

@@ -122,8 +122,11 @@ def enumerate_shifted(
     Breadth-first closure over every intermediate state (a non-shifted
     intermediate may lead to shifted states unreachable otherwise),
     memoized on the bit view, which is the exact face-set encoding.
-    Raises if more than ``state_limit`` states are visited.
+    Raises if more than ``state_limit`` states are visited, and refuses
+    a ``state_limit`` below 1, since the input itself is a state.
     """
+    if state_limit < 1:
+        raise ValueError(f"state limit must be at least 1, not {state_limit}")
     n = cx.n
     pairs = candidate_pairs if candidate_pairs is not None else _all_pairs(n)
     for i, j in pairs:

@@ -9,6 +9,7 @@ import numpy as np
 from shiftlab import (
     SimplicialComplex,
     boundary_matrix,
+    f_vector,
     from_faces,
     mask_of,
     members_of,
@@ -352,9 +353,9 @@ def numpy_reduced_homology_dims(cx: SimplicialComplex, p: int):
     """Reduced homology dimensions from numpy boundary matrices, ranked by
     ``gfp.pivot_columns`` in every degree with no clearing: the oracle
     for the library's sparse elimination."""
-    layers = cx.layers
-    ranks = [0] + [len(gfp.pivot_columns(boundary_matrix(cx, k, p), p)) for k in range(len(layers) - 1)] + [0]
-    return tuple(len(layer) - ranks[i] - ranks[i + 1] for i, layer in enumerate(layers))
+    sizes = (1,) + f_vector(cx)  # sizes[k] faces have k vertices
+    ranks = [0] + [len(gfp.pivot_columns(boundary_matrix(cx, k, p), p)) for k in range(len(sizes) - 1)] + [0]
+    return tuple(size - ranks[i] - ranks[i + 1] for i, size in enumerate(sizes))
 
 
 def brute_hochster_betti(cx: SimplicialComplex, p: int):

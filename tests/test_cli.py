@@ -285,6 +285,17 @@ def test_enumerate_past_state_limit_exit_2(cycle_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("limit", ["0", "-3"])
+def test_enumerate_refuses_a_state_limit_below_1_exit_2(tmp_path, cycle_path, limit, capsys):
+    simplex = tmp_path / "simplex.json"
+    simplex.write_text(json.dumps({"n": 3, "facets": [[1, 2, 3]]}))
+    for path in (str(simplex), cycle_path):
+        assert main(["enumerate", path, "--limit", limit]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == [f"shiftlab: error: state limit must be at least 1, not {limit}"]
+
+
 def test_gin_command(path_graph_path, capsys):
     assert main(["gin", path_graph_path, "--seed", "3"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -1,6 +1,7 @@
 import json
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -49,11 +50,9 @@ def _corpus():
     return out + [random_complex(n, density, 7) for n in (6, 8) for density in (0.05, 0.2)]
 
 
-def test_layers_match_brute_grouping():
+def test_dim_is_the_largest_face_size_less_one():
     for cx in _corpus():
         top = max(f.bit_count() for f in cx.faces)
-        want = tuple(tuple(sorted(f for f in cx.faces if f.bit_count() == k)) for k in range(top + 1))
-        assert cx.layers == want
         assert cx.dim == top - 1
 
 
@@ -101,7 +100,7 @@ def test_constructor_refuses_bits_past_the_ground_set(bits):
 
 def test_faces_are_unpacked_only_when_read():
     simplex = full_simplex(20)
-    assert "faces" not in vars(simplex) and "layers" not in vars(simplex)
+    assert "faces" not in vars(simplex)
     path = from_facets(4, [[1, 2], [2, 3], [3, 4]])
     moved = shift_ij(path, 1, 4)
     reached = enumerate_shifted(path)
@@ -418,7 +417,8 @@ def test_bit_view_structure_matches_face_by_face_oracles():
         facets = brute_facets(cx)
         assert cx.facets() == facets
         assert minimal_nonfaces(cx) == brute_minimal_nonfaces(cx)
-        assert f_vector(cx) == tuple(map(len, cx.layers[1:]))
+        sizes = Counter(f.bit_count() for f in cx.faces)
+        assert f_vector(cx) == tuple(sizes[k] for k in range(1, max(sizes) + 1))
         assert from_facets(cx.n, facets).faces == brute_closure(facets) == cx.faces
         assert from_faces(cx.n, cx.faces).bits == sum(1 << f for f in cx.faces)
 

@@ -97,9 +97,10 @@ def test_phi_image_degree_one_rows():
     cx = from_facets(3, [[1, 2], [3]])
     assert slice_rows(cx, 1) == []
     phi = random_gl(3, P, 3)
-    M, cols = phi_image_matrix(cx.layers[1], 1, phi.entries, P)
+    vertices = [mask_of([v]) for v in (1, 2, 3)]
+    M, cols = phi_image_matrix(vertices, 1, phi.entries, P)
     assert M.shape == (3, 3)
-    for r, v in enumerate(members_of(f)[0] for f in cx.layers[1]):
+    for r, v in enumerate((1, 2, 3)):
         by_col = {cols[c]: int(M[r, c]) for c in range(3)}
         for u in range(1, 4):
             assert by_col[mask_of([u])] == int(phi.entries[v - 1, u - 1]) % P

@@ -20,7 +20,7 @@ from shiftlab import (
     shifted_betti,
 )
 from shiftlab import gfp, homology
-from shiftlab.complexes import _mask_list, _vertex_bits
+from shiftlab.complexes import InvariantError, _mask_list, _vertex_bits
 from shiftlab.faces import members_of
 from shiftlab.homology import _outside_star, _reduced_dims, _subsets_below, betti_tsv
 from shiftlab.verify import random_complex
@@ -101,8 +101,23 @@ def test_reduced_homology_examples():
     assert reduced_homology_dims(cyc, 2) == (0, 0, 1)
     two_pts = from_facets(2, [[1], [2]])
     assert reduced_homology_dims(two_pts, 2) == (0, 1)
-    # only the empty face: H~_{-1} is the field
-    assert _reduced_dims(((0,),), 2) == (1,)
+    # only the empty face: H~_{-1} is the field; no face, no homology
+    assert _reduced_dims([0], 2) == (1,)
+    assert _reduced_dims([], 2) == ()
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003])
+def test_reduced_dims_ignore_the_order_within_a_size(p):
+    # the elimination walks the sizes from the top down, and a size's
+    # faces may come in any order: the clearing and the ranks hold for each
+    rng = random.Random(p)
+    corpus = [RP2] + [random_complex(n, density, seed) for n in (5, 7) for density in (0.1, 0.4) for seed in (1, 2)]
+    for cx in corpus:
+        want = numpy_reduced_homology_dims(cx, p)
+        masks = _mask_list(cx.bits)
+        for _ in range(3):
+            rng.shuffle(masks)
+            assert _reduced_dims(masks, p) == want
 
 
 def test_euler_characteristic_identity():
@@ -209,10 +224,9 @@ def test_homology_relative_to_every_vertex_star_is_that_of_the_induced_subcomple
                     faces = _mask_list(_outside_star(d, v, h[v]))
                     bit = 1 << (v - 1)
                     assert set(faces) == {f for f in induced if f | bit not in cx.faces}
-                    layers = [[f for f in faces if f.bit_count() == k] for k in range(n + 1)]
-                    assert not layers[0]
+                    assert 0 not in faces
                     for p in (2, 3):
-                        assert _reduced_dims(layers, p) == expected[p]
+                        assert _padded(_reduced_dims(faces, p), n + 1) == expected[p]
 
 
 def _cone(cx):
@@ -240,17 +254,17 @@ def test_hochster_skips_every_subset_that_induces_a_cone(monkeypatch):
             assert len(calls) == reduced > 0
 
 
-def test_hochster_passes_no_empty_top_layer(monkeypatch):
-    # the relative faces of a W often stop several sizes below |W|; their
-    # layers end at the largest, so no elimination indexes an empty layer
+def test_hochster_passes_a_nonempty_face_list(monkeypatch):
+    # a W whose relative faces are none induces a cone and is skipped, so
+    # every elimination gets at least one face, and never the empty face
     seen = []
     reduce = homology._reduced_dims
-    monkeypatch.setattr(homology, "_reduced_dims", lambda layers, p: seen.append(layers) or reduce(layers, p))
+    monkeypatch.setattr(homology, "_reduced_dims", lambda masks, p: seen.append(masks) or reduce(masks, p))
     for cx in [RP2, random_complex(6, 0.1, 1), random_complex(7, 0.05, 2)]:
         for p in (2, 3):
             seen.clear()
             assert hochster_betti(cx, p) == brute_hochster_betti(cx, p)
-            assert seen and all(layers[-1] for layers in seen)
+            assert seen and all(masks and 0 not in masks for masks in seen)
 
 
 def test_hochster_full_simplex_empty():
@@ -275,6 +289,18 @@ def test_shifted_betti_two_generators():
     assert table.get((1, 2), 0) == 1
     assert table.get((2, 2), 0) == 0
     assert table == eliahou_kervaire_betti(cx)
+
+
+def test_shifted_betti_refuses_a_negative_generator_count(monkeypatch):
+    # I = (x1x2): m_<=3(I, 2) = 1, and lowering it to 0 leaves the
+    # degree-2 generators with largest index 3 at -1; the check is an
+    # explicit raise, so it also holds under python -O
+    cx = from_facets(3, [[1, 3], [2, 3]])
+    table = homology.m_leq_table(cx)
+    table[2][3] = 0
+    monkeypatch.setattr(homology, "m_leq_table", lambda _: table)
+    with pytest.raises(InvariantError, match="degree 2 at index 3"):
+        shifted_betti(cx)
 
 
 def test_shifted_betti_full_simplex():

@@ -76,8 +76,9 @@ def test_classification_matches_expected_set():
 
 
 def test_classify_rejects_other_complexes():
-    with pytest.raises(AssertionError):
-        classify_complex(section4_build(), degrees=(3,))
+    # the construction itself carries neither terminal block in degree 3
+    with pytest.raises(AssertionError, match="degree-3 slice"):
+        classify_complex(section4_build())
 
 
 def test_negative_results_pass():

@@ -9,6 +9,7 @@ from shiftlab import (
     enumerate_shifted,
     f_vector,
     from_facets,
+    full_simplex,
     ideal_slices,
     is_shifted,
     mask_of,
@@ -248,6 +249,16 @@ def test_enumerate_state_limit():
     cx = from_facets(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
     with pytest.raises(RuntimeError):
         enumerate_shifted(cx, state_limit=1)
+
+
+@pytest.mark.parametrize("limit", [0, -3])
+def test_enumerate_refuses_a_state_limit_below_1(limit):
+    # the input is a state: a shifted input, which no pair moves, must not
+    # pass under a limit that admits no state at all
+    for cx in (full_simplex(3), from_facets(4, [[1, 2], [2, 3], [3, 4], [1, 4]])):
+        with pytest.raises(ValueError, match=f"state limit must be at least 1, not {limit}"):
+            enumerate_shifted(cx, state_limit=limit)
+    assert enumerate_shifted(full_simplex(3), state_limit=1) == {full_simplex(3)}
 
 
 def test_s_ij_zero_examples():
