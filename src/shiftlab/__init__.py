@@ -14,20 +14,16 @@ from .complexes import (
     from_faces,
     from_json,
     full_simplex,
-    ideal_degree_slice,
-    ideal_slices,
     is_shifted,
-    m_leq,
+    m_leq_table,
     minimal_nonfaces,
-    restriction,
     to_json,
 )
 from .exterior import GenericMatrix, GenericityError, gin, phi_image_matrix, random_gl
-from .faces import binom, mask_of, members_of
+from .faces import mask_of, members_of
 from .homology import (
     BettiTable,
     betti_leq,
-    boundary_matrix,
     hochster_betti,
     reduced_homology_dims,
     shifted_betti,
@@ -51,9 +47,7 @@ __all__ = [
     "ShiftlabError",
     "VerificationReport",
     "EXPECTED_QSEQUENCES",
-    "binom",
     "betti_leq",
-    "boundary_matrix",
     "delta_lex",
     "enumerate_shifted",
     "f_vector",
@@ -63,10 +57,8 @@ __all__ = [
     "full_simplex",
     "gin",
     "hochster_betti",
-    "ideal_degree_slice",
-    "ideal_slices",
     "is_shifted",
-    "m_leq",
+    "m_leq_table",
     "mask_of",
     "members_of",
     "minimal_nonfaces",
@@ -75,7 +67,6 @@ __all__ = [
     "random_gl",
     "reduced_homology_dims",
     "replay",
-    "restriction",
     "section4_build",
     "section4_enumerate_and_classify",
     "section4_negative_results",

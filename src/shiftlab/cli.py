@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import comb
 
 from . import section4 as s4
 from .complexes import (
@@ -22,7 +23,7 @@ from .complexes import (
     to_json_dict,
 )
 from .exterior import gin
-from .faces import binom, members_of
+from .faces import members_of
 from .homology import betti_tsv, hochster_betti, shifted_betti
 from .lexsegment import delta_lex
 from .shifting import enumerate_shifted, replay, shift_to_shifted
@@ -88,7 +89,7 @@ def _cmd_gin(args) -> int:
     for g in minimal_nonfaces(result):
         gens_by_degree.setdefault(g.bit_count(), []).append(list(members_of(g)))
     f = f_vector(result) + (0,) * result.n  # f[d - 1] d-faces, the other d-sets are pivots
-    pivots = {d: binom(result.n, d) - f[d - 1] for d in range(1, result.n + 1)}
+    pivots = {d: comb(result.n, d) - f[d - 1] for d in range(1, result.n + 1)}
     report = [
         {
             "degree": d,

@@ -18,6 +18,11 @@ members).  A set of monomials of one degree is a subset of the bits of
 L_d; only ``faces``, ``ideal_degree_slice`` and ``ideal_slices`` unpack
 frozensets of masks.  The ground-set bound is checked once, when a
 complex is built, before anything of size 2^n is allocated.
+
+``restriction``, ``ideal_degree_slice``, ``ideal_slices`` and ``m_leq``
+have no caller in the library and are not exported from ``shiftlab``:
+they are second paths for the tests, and ``perfbench/layers.py`` wraps
+them by name.  The m_<= counts come from ``m_leq_table``.
 """
 
 from __future__ import annotations
@@ -321,15 +326,14 @@ def m_leq(slices: Mapping[int, frozenset[int]], i: int, d: int) -> int:
 
 
 def m_leq_table(cx: SimplicialComplex) -> list[list[int]]:
-    """table[d][i] = m_<=i(I_Delta, d) for d = 0 .. n and i = 0 ..
-    MAX_WALK_N.  A mask has largest index <= i iff it is below 2^i, so
-    the count is the popcount of the degree-d slice below bit 2^i."""
+    """table[d][i] = m_<=i(I_Delta, d) for d = 0 .. n and i = 0 .. n.
+    A mask has largest index <= i iff it is below 2^i, so the count is
+    the popcount of the degree-d slice below bit 2^i."""
     n = cx.n
     table = []
     for d in range(n + 1):
         s = _slice_bits(n, cx.bits, d)
-        below = [(s & ((1 << (1 << i)) - 1)).bit_count() for i in range(n)]
-        table.append(below + [s.bit_count()] * (MAX_WALK_N + 1 - n))
+        table.append([(s & ((1 << (1 << i)) - 1)).bit_count() for i in range(n)] + [s.bit_count()])
     return table
 
 

@@ -9,7 +9,7 @@ a >_rev b iff the largest element of a ^ b lies in b, iff a < b as
 integers.  A monomial is in the generic initial ideal exactly when its
 column carries a pivot.  The masks below 2^i, the first C(i, d)
 columns, are the monomials with largest index <= i, so the m_<=i count
-of the result in degree d (``complexes.m_leq``) is the rank of that
+of the result in degree d (``complexes.m_leq_table``) is the rank of that
 column prefix.
 
 The same pivot set can be read from the faces (Kalai, "Algebraic
@@ -59,6 +59,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import comb
 from typing import Sequence
 
 import numpy as np
@@ -78,7 +79,7 @@ from .complexes import (
     from_nonfaces,
     is_shifted,
 )
-from .faces import all_faces, binom, members_of
+from .faces import all_faces, members_of
 
 _ROW_BLOCK = 256
 
@@ -91,9 +92,11 @@ class GenericityError(ShiftlabError):
 class GenericMatrix:
     """An invertible n x n matrix over GF(p) together with its seed.
 
-    ``dual`` is the transpose of its inverse mod p, computed once here;
-    a singular matrix raises :class:`gfp.SingularMatrixError`.  Equality
-    and hashing are by identity, since numpy arrays compare entrywise.
+    ``entries`` are read as residues mod p, and refused with ValueError
+    unless they are integers of shape (n, n).  ``dual`` is the transpose
+    of their inverse mod p, computed once here; a singular matrix raises
+    :class:`gfp.SingularMatrixError`.  Equality and hashing are by
+    identity, since numpy arrays compare entrywise.
     """
 
     n: int
@@ -103,9 +106,13 @@ class GenericMatrix:
     dual: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=np.int64)
+        p = gfp.check_field(self.p)
+        entries = gfp._residues(self.entries, p)
+        if entries.shape != (self.n, self.n):
+            raise ValueError(f"entries of shape {entries.shape} are not those of a {self.n} x {self.n} matrix")
+        entries = entries.astype(np.int64)
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "dual", gfp.inverse(entries, self.p).T)
+        object.__setattr__(self, "dual", gfp.inverse(entries, p).T)
 
 
 def random_gl(n: int, p: int, seed: int) -> GenericMatrix:
@@ -162,8 +169,10 @@ def phi_image_matrix(
     minor of g with rows sigma_r and columns tau.  Columns are sorted
     revlex-descending, all C(n, d) of them or only ``cols``; returns
     (matrix, column masks).  Raises ValueError unless p passes
-    ``gfp.check_field``, every row is a d-subset of [n] and ``cols``,
-    if given, is an ascending list of distinct d-subsets of [n].
+    ``gfp.check_field``, g is a square matrix of integers (read as
+    residues mod p, as ``gfp`` reads a matrix), every row is a d-subset
+    of [n] and ``cols``, if given, is an ascending list of distinct
+    d-subsets of [n].
 
     The minors are built by d wedge steps, one row of g at a time.
     Step k adds its k+1 <= n signed terms, each the product of two
@@ -174,7 +183,10 @@ def phi_image_matrix(
     the targets in ``cols``.
     """
     p = gfp.check_field(p)
-    n = g.shape[0]
+    G = gfp._residues(g, p)
+    n = G.shape[0]
+    if G.shape != (n, n):
+        raise ValueError(f"g of shape {G.shape} is not a square matrix")
     if not 1 <= d <= n:
         raise ValueError("degree out of range")
     _check_subsets(rows, d, n, "row")
@@ -192,7 +204,6 @@ def phi_image_matrix(
     if len(rows) == 0:
         return np.zeros((0, len(col_masks)), dtype=np.int64), col_masks
 
-    G = (g % p).astype(np.float64)
     sigmas = np.asarray([members_of(m) for m in rows], dtype=np.intp)
     rows_out = np.empty((len(rows), len(col_masks)), dtype=np.int64)
 
@@ -272,7 +283,7 @@ def _gin_draw(slices: dict[int, int], phi: GenericMatrix) -> dict[int, int]:
     ideal_side, face_side = [], []
     for d, slice_d in slices.items():
         size = slice_d.bit_count()
-        faces_d = binom(n, d) - size
+        faces_d = comb(n, d) - size
         if not size or not faces_d:
             out[d] = slice_d
         else:

@@ -19,19 +19,11 @@ at most i.
 from __future__ import annotations
 
 import itertools
-from math import comb
 
 # The bit view of a complex has 2^n bits, and Hochster's sum, the degree
 # slices of I_Delta and the lex segments each walk all 2^n vertex
 # subsets, so their work doubles with every vertex.
 MAX_WALK_N = 20
-
-
-def binom(a: int, b: int) -> int:
-    """Binomial coefficient with C(a,b) = 0 outside 0 <= b <= a."""
-    if b < 0 or b > a or a < 0:
-        return 0
-    return comb(a, b)
 
 
 def mask_of(members) -> int:

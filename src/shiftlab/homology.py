@@ -15,10 +15,13 @@ Every boundary rank, over every field, comes from one sparse elimination
 mod p with clearing (:func:`_reduced_dims`) over one flat list of face
 masks, with no matrix and no numpy call per map.
 :func:`boundary_matrix` builds the same maps as numpy arrays for
-independent checks.
+independent checks; it is not exported from ``shiftlab``, and the tests
+import it from here.
 """
 
 from __future__ import annotations
+
+from math import comb
 
 import numpy as np
 
@@ -31,7 +34,7 @@ from .complexes import (
     is_shifted,
     m_leq_table,
 )
-from .faces import binom, members_of
+from .faces import members_of
 
 BettiTable = dict[tuple[int, int], int]
 
@@ -199,7 +202,7 @@ def shifted_betti(cx: SimplicialComplex) -> BettiTable:
                 raise InvariantError(f"negative generator count in degree {j} at index {k}: formula misuse")
             if g:
                 for i in range(k - j + 1):
-                    table[(i, j)] = table.get((i, j), 0) + g * binom(k - j, i)
+                    table[(i, j)] = table.get((i, j), 0) + g * comb(k - j, i)
     return table
 
 

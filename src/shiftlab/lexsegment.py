@@ -8,9 +8,10 @@ lex-initial segment per degree under x_1 > ... > x_n.
 from __future__ import annotations
 
 import itertools
+from math import comb
 
 from .complexes import InvariantError, SimplicialComplex, _bits_of, check_ground_set, f_vector, from_nonfaces, is_shifted
-from .faces import all_faces, binom
+from .faces import all_faces
 
 
 def delta_lex(f: tuple[int, ...], n: int) -> SimplicialComplex:
@@ -25,10 +26,10 @@ def delta_lex(f: tuple[int, ...], n: int) -> SimplicialComplex:
     want = tuple(f[:n]) + (0,) * (n - len(f))
     nonfaces = []
     for d, f_count in enumerate(want, start=1):
-        if not 0 <= f_count <= binom(n, d):
+        if not 0 <= f_count <= comb(n, d):
             raise ValueError(f"f-vector entry f_{d-1}={f_count} is outside 0..C({n},{d})")
         # all_faces lists a layer lex-descending: its first masks are the lex-greatest
-        nonfaces.extend(itertools.islice(all_faces(n, d), binom(n, d) - f_count))
+        nonfaces.extend(itertools.islice(all_faces(n, d), comb(n, d) - f_count))
     try:
         cx = from_nonfaces(n, _bits_of(n, nonfaces))
     except ValueError as exc:

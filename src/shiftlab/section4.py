@@ -8,6 +8,10 @@ each degree, one of two terminal blocks (called A and B); the
 classification of realizable (Q_3, ..., Q_8) labels has exactly 16
 members, none of them all-A or all-B, and no Betti table among the 16
 dominates or is dominated by all others.
+
+The shifted complexes are searched over the six exchange pairs inside
+{12, 13, 14, 15} only.  A Tier-1 test runs the search over all 105
+pairs on the same complex and checks that it finds the same 16.
 """
 
 from __future__ import annotations
@@ -86,33 +90,24 @@ def block_monomials(d: int, block) -> int:
     return _bits_of(N, (prefix | mask_of(pair) for pair in block))
 
 
-def _complex_from_blocks(blocks: dict[int, tuple], all_above: int) -> SimplicialComplex:
-    """Complex whose ideal is generated by the given per-degree blocks
-    plus every monomial of degree ``all_above``.
+def section4_build() -> SimplicialComplex:
+    """The 15-vertex complex of the construction: its ideal is generated
+    by T_d and T_d(H_d) in each degree d in 3..8 and every monomial of
+    degree 9.
 
     Asserts that each degree-d slice of the generated ideal is exactly
-    T_d union T_d(block_d) (the construction's spanning property)."""
+    T_d union T_d(H_d) (the construction's spanning property)."""
     nonfaces = prev = 0
-    for d in sorted(blocks):
+    for d in DEGREES:
         # the previous slice times every variable, on the 2^N-bit view
         lifted = _upper_shadow(N, prev)
-        prev = terminal_segment(d) | block_monomials(d, blocks[d])
+        prev = terminal_segment(d) | block_monomials(d, _H_BLOCK[d])
         if lifted ^ (lifted & prev):
             raise InvariantError(f"degree-{d} slice is not spanned by its blocks")
         nonfaces |= prev
-    for d in range(all_above, N + 1):
+    for d in range(9, N + 1):
         nonfaces |= _layer_bits(N, d)
     return from_nonfaces(N, nonfaces)
-
-
-def section4_build() -> SimplicialComplex:
-    """The 15-vertex complex of the construction."""
-    return _complex_from_blocks({d: _H_BLOCK[d] for d in DEGREES}, all_above=9)
-
-
-def _truncated_build() -> SimplicialComplex:
-    """Degrees 3..4 only; used to validate the restricted-pair search."""
-    return _complex_from_blocks({d: _H_BLOCK[d] for d in (3, 4)}, all_above=5)
 
 
 def _tail_pairs() -> list[tuple[int, int]]:
@@ -136,15 +131,11 @@ def classify_complex(cx: SimplicialComplex) -> QSequence:
 def section4_enumerate_and_classify() -> dict[QSequence, SimplicialComplex]:
     """All shifted complexes reachable from the construction, by Q-label.
 
-    Only exchange pairs inside {12..15} act nontrivially; this is
-    validated by running the unrestricted search on a truncated variant
-    and checking it agrees with the restricted one, after which the
-    full complex is searched with the restricted pair set.
+    The search runs over the six exchange pairs inside {12..15} only.
+    It finds the same shifted complexes as the search over all 105
+    pairs: a Tier-1 test (``tests/test_section4.py``) runs both on
+    ``section4_build()`` and compares them.
     """
-    trunc = _truncated_build()
-    if enumerate_shifted(trunc) != enumerate_shifted(trunc, candidate_pairs=_tail_pairs()):
-        raise InvariantError("restricted pair set misses shifted states on the truncated variant")
-
     shifted = enumerate_shifted(section4_build(), candidate_pairs=_tail_pairs())
     out: dict[QSequence, SimplicialComplex] = {}
     for s in shifted:

@@ -119,13 +119,14 @@ def verify_theorems(
     """Check the Betti-number inequalities on a seeded random corpus.
 
     Per trial: both shifting strategies, the shifting axioms S1-S4,
-    the Betti comparison of the complex against its shifted and
-    lexsegment companions, the exterior vs. combinatorial comparison,
-    the m_<= domination, and a sampled single-step Betti monotonicity
-    check.  Trial sizes are drawn from 2..n, so n outside
-    2..MAX_WALK_N is refused before the first trial, as are a negative
-    number of trials and a field size p that check_field refuses; zero
-    trials is the empty run.
+    the Betti comparison of the complex against its shifted, exterior
+    and lexsegment companions, the exterior vs. combinatorial
+    comparison, the m_<= domination, and a sampled single-step Betti
+    monotonicity check.  Every computation runs over one field, GF(p):
+    the exterior shift and Hochster's sums alike.  Trial sizes are
+    drawn from 2..n, so n outside 2..MAX_WALK_N is refused before the
+    first trial, as are a negative number of trials and a field size p
+    that check_field refuses; zero trials is the empty run.
     """
     check_ground_set(n)
     if n < 2:
@@ -143,7 +144,7 @@ def verify_theorems(
         nn = trng.randint(2, n)
         density = trng.choice([0.05, 0.15, 0.3, 0.5, 0.7, 0.9])
         cx = random_complex(nn, density, trial_seed)
-        betti = hochster_betti(cx, 2)
+        betti = hochster_betti(cx, p)
 
         gin_cx = gin(cx, p=p, seed=trial_seed)
         betti_gin = shifted_betti(gin_cx)
@@ -171,6 +172,7 @@ def verify_theorems(
             c_counts = m_leq_table(shifted_cx)
             record("m_<=(D^e) >= m_<=(D^c)", check_m_leq(gin_counts, c_counts), **where)
 
+        record("beta(D) <= beta(D^e)", check_betti_leq(betti, betti_gin))
         lex_betti = shifted_betti(delta_lex(f_vector(cx), nn))
         record("beta(D) <= beta(D^lex)", check_betti_leq(betti, lex_betti))
 
@@ -178,7 +180,7 @@ def verify_theorems(
         for _ in range(2):
             i = trng.randint(1, nn - 1)
             j = trng.randint(i + 1, nn)
-            stepped = hochster_betti(shift_ij(cx, i, j), 2)
+            stepped = hochster_betti(shift_ij(cx, i, j), p)
             record("single-step beta", check_betti_leq(betti, stepped), pairs=[[i, j]])
     report.elapsed_ms = (perf_counter() - t0) * 1000.0
     return report

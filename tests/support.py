@@ -8,7 +8,6 @@ import numpy as np
 
 from shiftlab import (
     SimplicialComplex,
-    boundary_matrix,
     f_vector,
     from_faces,
     mask_of,
@@ -17,6 +16,7 @@ from shiftlab import (
 )
 from shiftlab import complexes, gfp
 from shiftlab.exterior import revlex_column_order
+from shiftlab.homology import boundary_matrix
 
 
 # ten seeded (n, density, seed) triples at each n = 6, 7, 8, over three densities

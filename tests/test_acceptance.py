@@ -6,17 +6,15 @@ and compares integers exactly (zero tolerance everywhere).
 
 import random
 from functools import lru_cache
+from math import comb
 
 from shiftlab import (
     betti_leq,
-    boundary_matrix,
     delta_lex,
     f_vector,
     gin,
     hochster_betti,
-    ideal_slices,
     is_shifted,
-    m_leq,
     mask_of,
     random_complex,
     reduced_homology_dims,
@@ -25,7 +23,9 @@ from shiftlab import (
     shift_to_shifted,
     shifted_betti,
 )
-from shiftlab.faces import all_faces, binom
+from shiftlab.complexes import ideal_slices, m_leq
+from shiftlab.faces import all_faces
+from shiftlab.homology import boundary_matrix
 
 from support import all_strict_complexes, brute_revlex_greater, classified_section4, s_ij_zero, section4_gin
 
@@ -188,8 +188,8 @@ def test_criterion_10_property_suites():
             layer = sorted(all_faces(n, d))
             ok = ok and all(brute_revlex_greater(a, b) for a, b in zip(layer, layer[1:]))
             for i in range(d, n + 1):
-                ok = ok and layer[binom(i, d) - 1] == mask_of(range(i - d + 1, i + 1))
-                ok = ok and all((tau.bit_length() <= i) == (k < binom(i, d)) for k, tau in enumerate(layer))
+                ok = ok and layer[comb(i, d) - 1] == mask_of(range(i - d + 1, i + 1))
+                ok = ok and all((tau.bit_length() <= i) == (k < comb(i, d)) for k, tau in enumerate(layer))
 
     # ideal-level exchange equals the face-level shift, exhaustive for n <= 5
     for n in (2, 3, 4, 5):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import comb
 
 import numpy as np
 import pytest
@@ -11,10 +12,7 @@ from shiftlab import (
     from_facets,
     full_simplex,
     gin,
-    ideal_degree_slice,
-    ideal_slices,
     is_shifted,
-    m_leq,
     mask_of,
     members_of,
     minimal_nonfaces,
@@ -24,8 +22,9 @@ from shiftlab import (
     shift_to_shifted,
 )
 from shiftlab import complexes, exterior, gfp
+from shiftlab.complexes import ideal_degree_slice, ideal_slices, m_leq
 from shiftlab.exterior import GenericMatrix
-from shiftlab.faces import all_faces, binom
+from shiftlab.faces import all_faces
 from shiftlab.verify import random_complex
 from support import direct_eliminate, laplace_det
 
@@ -168,6 +167,47 @@ def test_phi_image_refuses_rows_that_are_not_d_subsets():
     assert phi_image_matrix([], 2, g, 7, [0b0011, 0b1100])[0].shape == (0, 2)
 
 
+@pytest.mark.parametrize(
+    "g, message",
+    [
+        (np.full((3, 3), 1.5), "entries must be integers"),
+        (np.ones((2, 3), dtype=np.int64), "not a square matrix"),
+        (np.ones((3, 2), dtype=np.int64), "not a square matrix"),
+        (np.ones(3, dtype=np.int64), "must be 2-D"),
+    ],
+)
+def test_phi_image_refuses_a_malformed_coordinate_change(g, message):
+    with pytest.raises(ValueError, match=message):
+        phi_image_matrix([0b001], 1, g, 7)
+
+
+def test_phi_image_reads_a_nested_list_as_its_array():
+    g = random_gl(4, 7, 1).entries
+    rows = exterior.revlex_column_order(4, 2)
+    M, cols = phi_image_matrix(rows, 2, g.tolist(), 7)
+    want, want_cols = phi_image_matrix(rows, 2, g, 7)
+    assert cols == want_cols and np.array_equal(M, want)
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        (np.eye(4, dtype=np.int64), "shape \\(4, 4\\) are not those of a 3 x 3 matrix"),
+        (np.eye(3) * 1.5, "entries must be integers"),
+    ],
+)
+def test_generic_matrix_refuses_malformed_entries(entries, message):
+    with pytest.raises(ValueError, match=message):
+        GenericMatrix(3, P, 0, entries)
+
+
+def test_generic_matrix_keeps_residues_of_valid_entries():
+    phi = GenericMatrix(2, 7, 0, [[8, -1], [0, 1]])
+    assert phi.entries.dtype == np.int64
+    assert phi.entries.tolist() == [[1, 6], [0, 1]]
+    assert (phi.entries @ phi.dual.T % 7).tolist() == [[1, 0], [0, 1]]
+
+
 @pytest.mark.parametrize("p", [2, 3, P])
 def test_compound_minors_obey_jacobi(p):
     # Jacobi's complementary minors, the identity behind eliminating a
@@ -277,7 +317,7 @@ def test_pivot_prefix_equals_rank_statistic():
         M, cols = phi_image_matrix(slice_rows(cx, d), d, phi.entries, P)
         piv = gfp.pivot_columns(M, P)
         for i in range(d, 6):
-            prefix = binom(i, d)
+            prefix = comb(i, d)
             assert all(cols[c].bit_length() <= i for c in range(prefix))
             assert sum(1 for c in piv if c < prefix) == len(gfp.pivot_columns(M[:, :prefix], P))
 
@@ -337,7 +377,7 @@ def test_face_side_matches_ideal_side():
         identity = GenericMatrix(n, P, 0, np.eye(n, dtype=np.int64))
         for d in range(1, n + 1):
             slice_d = ideal_degree_slice(cx, d)
-            if not 0 < len(slice_d) < binom(n, d):
+            if not 0 < len(slice_d) < comb(n, d):
                 continue
             bits_d = complexes._slice_bits(n, cx.bits, d)
             for phi in draws:
@@ -347,7 +387,7 @@ def test_face_side_matches_ideal_side():
                     assert unpacked(exterior._eliminate(bits_d, d, phi, on_faces)) == ideal
             for on_faces in (False, True):
                 assert exterior._eliminate(bits_d, d, identity, on_faces) == bits_d
-            compared[binom(n, d) - len(slice_d) < len(slice_d)] += 1
+            compared[comb(n, d) - len(slice_d) < len(slice_d)] += 1
             complemented += 2 * d > n
     assert min(compared.values()) >= 100
     assert complemented >= 100
@@ -376,7 +416,7 @@ def test_gin_draw_matches_direct_elimination():
             got = exterior._gin_draw(bits, phi)
             assert sorted(got) == list(range(n + 1))
             for d, slice_d in slices.items():
-                if 0 < len(slice_d) < binom(n, d):
+                if 0 < len(slice_d) < comb(n, d):
                     assert unpacked(got[d]) == direct_eliminate(slice_d, d, phi, on_faces=False)
                     compared += 1
                 else:
@@ -423,8 +463,8 @@ def test_gin_degree_eliminates_on_smaller_side(monkeypatch):
 
     # the draw's non-faces: the slice where it is empty or full, else None
     # until the degree is eliminated, in gin's order
-    nonfaces = {d: s if not 0 < len(s) < binom(n, d) else None for d, s in slices.items()}
-    n_faces = {d: binom(n, d) - len(s) for d, s in slices.items()}
+    nonfaces = {d: s if not 0 < len(s) < comb(n, d) else None for d, s in slices.items()}
+    n_faces = {d: comb(n, d) - len(s) for d, s in slices.items()}
     ideal_side = [d for d in range(n, -1, -1) if nonfaces[d] is None and n_faces[d] >= len(slices[d])]
     face_side = [d for d in range(n + 1) if nonfaces[d] is None and d not in ideal_side]
     expected, sides, dropped = [], set(), set()
@@ -434,7 +474,7 @@ def test_gin_degree_eliminates_on_smaller_side(monkeypatch):
         built = kept if 2 * d <= n else tuple(full ^ m for m in reversed(kept))
         expected.append((min(len(slices[d]), n_faces[d]), min(d, n - d), on_faces == (2 * d <= n), built))
         sides.add((on_faces, (2 * d > n) - (2 * d < n)))
-        if len(kept) < binom(n, d):
+        if len(kept) < comb(n, d):
             dropped.add(on_faces)
         nonfaces[d] = direct_eliminate(slices[d], d, phi, on_faces=False)
     assert calls == expected
@@ -453,7 +493,7 @@ def test_rank_check_guards_both_routes(monkeypatch):
     phi = random_gl(8, P, 5)
     for d in (3, 6):  # both slices are neither empty nor full
         slice_d = complexes._slice_bits(8, cx.bits, d)
-        assert 0 < slice_d.bit_count() < binom(8, d)
+        assert 0 < slice_d.bit_count() < comb(8, d)
         for on_faces in (False, True):
             with pytest.raises(InvariantError, match="must be independent"):
                 exterior._eliminate(slice_d, d, phi, on_faces)

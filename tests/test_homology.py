@@ -1,13 +1,12 @@
 import itertools
 import random
+from math import comb
 
 import numpy as np
 import pytest
 
 from shiftlab import (
     betti_leq,
-    binom,
-    boundary_matrix,
     delta_lex,
     f_vector,
     from_facets,
@@ -15,14 +14,13 @@ from shiftlab import (
     hochster_betti,
     minimal_nonfaces,
     reduced_homology_dims,
-    restriction,
     shift_to_shifted,
     shifted_betti,
 )
 from shiftlab import gfp, homology
-from shiftlab.complexes import InvariantError, _mask_list, _vertex_bits
+from shiftlab.complexes import InvariantError, _mask_list, _vertex_bits, restriction
 from shiftlab.faces import members_of
-from shiftlab.homology import _outside_star, _reduced_dims, _subsets_below, betti_tsv
+from shiftlab.homology import _outside_star, _reduced_dims, _subsets_below, betti_tsv, boundary_matrix
 from shiftlab.verify import random_complex
 
 from support import (
@@ -42,7 +40,7 @@ def eliahou_kervaire_betti(cx):
         j = g.bit_count()
         for i in range(g.bit_length() - j + 1):
             key = (i, j)
-            table[key] = table.get(key, 0) + binom(g.bit_length() - j, i)
+            table[key] = table.get(key, 0) + comb(g.bit_length() - j, i)
     return {k: v for k, v in table.items() if v}
 
 

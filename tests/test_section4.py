@@ -1,4 +1,5 @@
 from collections import Counter
+from math import comb
 
 import pytest
 
@@ -8,7 +9,6 @@ from shiftlab import (
     delta_lex,
     f_vector,
     hochster_betti,
-    ideal_degree_slice,
     is_shifted,
     mask_of,
     minimal_nonfaces,
@@ -16,9 +16,8 @@ from shiftlab import (
     section4_negative_results,
     shifted_betti,
 )
-from shiftlab import section4
-from shiftlab.complexes import _mask_list
-from shiftlab.faces import binom
+from shiftlab import enumerate_shifted, section4
+from shiftlab.complexes import _mask_list, ideal_degree_slice
 from shiftlab.section4 import (
     BLOCK_A,
     BLOCK_B,
@@ -62,7 +61,7 @@ def test_build_shape():
     assert cx.n == 15
     assert f_vector(cx) == (15, 105, 367, 938, 1245, 899, 318, 42)
     # every 9-subset is a non-face
-    assert len(ideal_degree_slice(cx, 9)) == binom(15, 9)
+    assert len(ideal_degree_slice(cx, 9)) == comb(15, 9)
     assert not is_shifted(cx)
 
 
@@ -73,6 +72,16 @@ def test_classification_matches_expected_set():
         assert is_shifted(cx)
         assert f_vector(cx) == f_vector(section4_build())
         assert classify_complex(cx) == q
+
+
+def test_tail_pair_search_finds_every_shifted_complex():
+    # the classification searches only the six pairs inside {12..15};
+    # the search over all 105 pairs must find the same 16 complexes
+    cx = section4_build()
+    every = enumerate_shifted(cx)
+    assert len(every) == 16
+    assert every == enumerate_shifted(cx, candidate_pairs=section4._tail_pairs())
+    assert every == set(classified_section4().values())
 
 
 def test_classify_rejects_other_complexes():
@@ -125,4 +134,4 @@ def test_build_refuses_a_slice_its_blocks_do_not_span(monkeypatch):
     assert real(3) >> mask_of([1, 2, 3]) & 1 and real(4) & missing
     monkeypatch.setattr(section4, "terminal_segment", lambda d: real(d) ^ (real(d) & missing))
     with pytest.raises(InvariantError, match="degree-4 slice is not spanned by its blocks"):
-        section4._truncated_build()
+        section4_build()

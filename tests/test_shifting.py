@@ -10,7 +10,6 @@ from shiftlab import (
     f_vector,
     from_facets,
     full_simplex,
-    ideal_slices,
     is_shifted,
     mask_of,
     members_of,
@@ -19,7 +18,7 @@ from shiftlab import (
     shift_to_shifted,
 )
 from shiftlab import shifting
-from shiftlab.complexes import SimplicialComplex
+from shiftlab.complexes import SimplicialComplex, ideal_slices
 from shiftlab.verify import random_complex
 
 from support import (

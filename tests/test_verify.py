@@ -177,16 +177,36 @@ def test_verify_theorems_names_every_check(monkeypatch):
     for f in report.failures:
         assert f["detail"] == "planted"
         by_check.setdefault(f["check"], []).append(f)
-    assert set(by_check) == {*PER_STRATEGY_CHECKS, "beta(D) <= beta(D^lex)", "single-step beta"}
+    assert set(by_check) == {
+        *PER_STRATEGY_CHECKS,
+        "beta(D) <= beta(D^e)",
+        "beta(D) <= beta(D^lex)",
+        "single-step beta",
+    }
     for check in PER_STRATEGY_CHECKS:
         assert [f["strategy"] for f in by_check[check]] == ["sweep", "random"]
         assert all(list(f) == ["check", "detail", "seed", "strategy", "pairs"] for f in by_check[check])
-    (lex,) = by_check["beta(D) <= beta(D^lex)"]
-    assert list(lex) == ["check", "detail", "seed"]
+    for check in ("beta(D) <= beta(D^e)", "beta(D) <= beta(D^lex)"):
+        (record,) = by_check[check]
+        assert list(record) == ["check", "detail", "seed"]
     steps = by_check["single-step beta"]
     assert len(steps) == 2
     assert all(len(f["pairs"]) == 1 and f["pairs"][0][0] < f["pairs"][0][1] for f in steps)
     json.loads(report.to_json())
+
+
+def test_verify_theorems_runs_hochster_sums_over_its_field(monkeypatch):
+    # beta(D), the single-step tables and gin all live over GF(p)
+    fields = []
+
+    def hochster_at(cx, p):
+        fields.append(p)
+        return hochster_betti(cx, p)
+
+    monkeypatch.setattr(verify, "hochster_betti", hochster_at)
+    report = verify_theorems(n=5, trials=3, p=101, seed=2)
+    assert report.passed, report.failures
+    assert len(fields) == 3 * 3 and set(fields) == {101}
 
 
 # -- section 4 ----------------------------------------------------------------
