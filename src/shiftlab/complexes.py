@@ -72,6 +72,10 @@ class SimplicialComplex:
             vertices = [m.bit_length() for m in _mask_list(missing)]
             raise ValueError(f"every vertex of [{n}] must be a face; missing {vertices}")
 
+    def __repr__(self) -> str:
+        # hex, since a decimal bits has more than Python's 4300-digit limit for n >= 14
+        return f"SimplicialComplex(n={self.n}, bits={self.bits:#x})"
+
     # -- structure ---------------------------------------------------------
 
     @cached_property

@@ -47,6 +47,16 @@ degrees ascending, each leaving out the d-sets over a (d-1)-non-face;
 degree d - 1 is always known by then.  The face side's result is all
 d-sets minus its pivots, not only the kept columns minus them.
 
+``gin``'s two draws run in lockstep, one matrix per degree for both.
+The two draws have the same rows, and the matrix keeps the union of the
+columns each draw keeps.  It is exact for each draw: a column that
+the draw itself would leave out carries no pivot for it, and the pivots
+of any set of columns holding all of a draw's pivot columns are those
+pivot columns.  ``phi_image_matrix`` builds it from the stack of both draws'
+coordinate changes, with each wedge step computing only the subsets of
+a kept column, and each draw eliminates its own block of rows and
+passes its own rank check.
+
 The infinite base field is approximated by GF(p) with a uniform random
 coordinate change; results are accepted only when two independent draws
 agree, which bounds the failure probability by (degree of the relevant
@@ -58,8 +68,9 @@ one integer: its bits on the 2^n-bit view (``complexes._slice_bits``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb
+from operator import and_
 from typing import Sequence
 
 import numpy as np
@@ -153,6 +164,47 @@ def _wedge_step(n: int, k: int):
     return tuple(steps)
 
 
+def _kept_steps(n: int, d: int, at: np.ndarray) -> list:
+    """The wedge-step tables of ``_wedge_step`` cut down to the subsets of
+    the kept degree-d columns, whose indices in column order are the
+    ascending ``at``.
+
+    Walking down from degree d, a k-subset is needed when it is one
+    element short of a needed (k+1)-subset; each step keeps the rows of
+    its tables that build a needed target, and renumbers the sources by
+    their rank among the needed k-subsets.
+    """
+    steps = []
+    needed = at
+    for k in range(d - 1, -1, -1):
+        tables = _wedge_step(n, k)
+        source = np.zeros(comb(n, k), dtype=bool)
+        for old_idx, _ in tables:
+            source[old_idx[needed]] = True
+        rank = np.cumsum(source) - 1
+        steps.append(tuple((rank[old_idx[needed]], elem_idx[needed]) for old_idx, elem_idx in tables))
+        needed = np.flatnonzero(source)
+    return steps[::-1]
+
+
+def _wedge(cur: np.ndarray, row: np.ndarray, tables, p: int) -> np.ndarray:
+    """One wedge step on a block: the signed sum of cur[:, old_idx] *
+    row[:, elem_idx] over the step's tables, mod p, computed in place so
+    that at most one term is alive beside the sum."""
+    (old_idx, elem_idx), *rest = tables
+    nxt = cur[:, old_idx]
+    nxt *= row[:, elem_idx]
+    for i, (old_idx, elem_idx) in enumerate(rest):
+        term = cur[:, old_idx]
+        term *= row[:, elem_idx]
+        if i % 2:
+            nxt += term
+        else:
+            nxt -= term
+    nxt %= p
+    return nxt
+
+
 def _check_subsets(masks: Sequence[int], d: int, n: int, what: str) -> None:
     for m in masks:
         if not 0 <= m < 1 << n or m.bit_count() != d:
@@ -168,68 +220,65 @@ def phi_image_matrix(
     coordinate change g: the coefficient on column tau is the d x d
     minor of g with rows sigma_r and columns tau.  Columns are sorted
     revlex-descending, all C(n, d) of them or only ``cols``; returns
-    (matrix, column masks).  Raises ValueError unless p passes
-    ``gfp.check_field``, g is a square matrix of integers (read as
-    residues mod p, as ``gfp`` reads a matrix), every row is a d-subset
-    of [n] and ``cols``, if given, is an ascending list of distinct
-    d-subsets of [n].
+    (matrix, column masks).  ``g`` may also be a (D, n, n) stack of
+    coordinate changes: the matrix then holds D blocks of len(rows)
+    rows, one per matrix of the stack, in stack order.  Raises
+    ValueError unless p passes ``gfp.check_field``, g is a square matrix
+    of integers or a stack of them (read as residues mod p, as ``gfp``
+    reads a matrix), every row is a d-subset of [n] and ``cols``, if
+    given, is an ascending list of distinct d-subsets of [n].
 
-    The minors are built by d wedge steps, one row of g at a time.
-    Step k adds its k+1 <= n signed terms, each the product of two
-    residues and so below p**2 in absolute value, straight into the
-    next degree's array.  For n <= 128 such a sum stays below 128 * p**2,
-    inside the 2**53 that ``gfp.check_field`` keeps for 128 terms; a
-    complex has n <= ``MAX_WALK_N`` (20).  The last step computes only
-    the targets in ``cols``.
+    The minors are built by d wedge steps, one row of g at a time, over
+    blocks of ``_ROW_BLOCK`` rows of the whole stacked matrix.  Step k
+    builds only the (k+1)-subsets of a returned column (all of them when
+    ``cols`` is None), and adds its k+1 <= n signed terms, each the
+    product of two residues and so below p**2 in absolute value,
+    straight into the next degree's array.  For n <= 128 such a sum
+    stays below 128 * p**2, inside the 2**53 that ``gfp.check_field``
+    keeps for 128 terms; a complex has n <= ``MAX_WALK_N`` (20).
     """
     p = gfp.check_field(p)
-    G = gfp._residues(g, p)
-    n = G.shape[0]
-    if G.shape != (n, n):
-        raise ValueError(f"g of shape {G.shape} is not a square matrix")
+    G = np.asarray(g)
+    shape = G.shape
+    # the stack's matrices, one above the other: (D * n, n)
+    G = gfp._residues(G.reshape(shape[0] * shape[1], shape[2]) if G.ndim == 3 else G, p)
+    n = shape[-1]
+    if shape[-2] != n:
+        raise ValueError(f"g of shape {shape} is not a square matrix or a stack of them")
     if not 1 <= d <= n:
         raise ValueError("degree out of range")
     _check_subsets(rows, d, n, "row")
     order = revlex_column_order(n, d)
-    steps = [_wedge_step(n, k) for k in range(d)]
     if cols is None:
         col_masks = order
+        steps = [_wedge_step(n, k) for k in range(d)]
     else:
         col_masks = tuple(cols)
         _check_subsets(col_masks, d, n, "column")
         if any(a >= b for a, b in zip(col_masks, col_masks[1:])):
             raise ValueError("column masks must be ascending and distinct")
         at = np.searchsorted(np.asarray(order, dtype=np.int64), np.asarray(col_masks, dtype=np.int64))
-        steps[-1] = tuple((old_idx[at], elem_idx[at]) for old_idx, elem_idx in steps[-1])
-    if len(rows) == 0:
-        return np.zeros((0, len(col_masks)), dtype=np.int64), col_masks
+        steps = _kept_steps(n, d, at)
+    # row i of the stacked matrix reads rows n * (i // len(rows)) + sigma - 1 of G
+    sigmas = np.asarray([members_of(m) for m in rows], dtype=np.intp).reshape(len(rows), d) - 1
+    picks = (n * np.arange(len(G) // n, dtype=np.intp)[:, None, None] + sigmas).reshape(-1, d)
+    out = np.empty((len(picks), len(col_masks)), dtype=np.int64)
 
-    sigmas = np.asarray([members_of(m) for m in rows], dtype=np.intp)
-    rows_out = np.empty((len(rows), len(col_masks)), dtype=np.int64)
-
-    for lo in range(0, len(rows), _ROW_BLOCK):
-        hi = min(lo + _ROW_BLOCK, len(rows))
-        block = sigmas[lo:hi]
-        cur = np.ones((hi - lo, 1), dtype=np.float64)
+    for lo in range(0, len(picks), _ROW_BLOCK):
+        block = picks[lo : lo + _ROW_BLOCK]
+        cur = np.ones((len(block), 1), dtype=np.float64)
         for k in range(d):
-            rows_k = G[block[:, k] - 1, :]  # (B, n)
-            for i, (old_idx, elem_idx) in enumerate(steps[k]):
-                term = cur[:, old_idx] * rows_k[:, elem_idx]
-                if i == 0:
-                    nxt = term
-                elif i % 2:
-                    nxt -= term
-                else:
-                    nxt += term
-            cur = nxt % p
-        rows_out[lo:hi] = cur
+            cur = _wedge(cur, G[block[:, k]], steps[k], p)
+        out[lo : lo + len(block)] = cur
 
-    return rows_out, col_masks
+    return out, col_masks
 
 
-def _eliminate(slice_d: int, d: int, phi: GenericMatrix, on_faces: bool, cols: Sequence[int] | None = None) -> int:
-    """Degree-d non-faces of the generic initial complex for one draw, by
-    elimination on one side; the slice and the result are bit views.
+def _eliminate(
+    slice_d: int, d: int, phis: Sequence[GenericMatrix], on_faces: bool, cols: Sequence[int] | None = None
+) -> list[int]:
+    """Degree-d non-faces of the generic initial complex for each draw, by
+    elimination on one side; the slice and the results are bit views.
 
     Ideal side: the rows are the slice I_d under phi, and the pivots in
     revlex-descending column order are the gin monomials.  Face side:
@@ -238,7 +287,9 @@ def _eliminate(slice_d: int, d: int, phi: GenericMatrix, on_faces: bool, cols: S
     reversed column order are exactly the columns that carry no
     ideal-side pivot, for every draw.  Only the ascending ``cols`` are
     built (all d-subsets by default); each column left out must carry
-    no pivot, so the pivots among the others are unchanged.
+    no pivot for any draw, so the pivots among the others are unchanged.
+    One ``phi_image_matrix`` call builds every draw's rows, and each
+    draw eliminates its own block of them.
 
     When 2d > n the matrix is built from the complementary rows and
     columns (``flip`` is [n], else 0) in degree n - d under the other
@@ -250,55 +301,65 @@ def _eliminate(slice_d: int, d: int, phi: GenericMatrix, on_faces: bool, cols: S
     are reversed exactly when phi^{-T} builds the matrix.  The rank
     check guards every route.
     """
-    n = phi.n
+    n, p = phis[0].n, phis[0].p
     layer = _layer_bits(n, d)
     rows = _mask_list(layer ^ slice_d if on_faces else slice_d)
     flip = (1 << n) - 1 if 2 * d > n else 0
     dual = on_faces != bool(flip)
     built = None if cols is None else sorted(flip ^ c for c in cols)
-    M, built = phi_image_matrix([flip ^ m for m in rows], min(d, n - d), phi.dual if dual else phi.entries, phi.p, built)
+    g = np.stack([phi.dual if dual else phi.entries for phi in phis])
+    M, built = phi_image_matrix([flip ^ m for m in rows], min(d, n - d), g, p, built)
     if dual:
         M, built = M[:, ::-1], built[::-1]
-    pivots = gfp.pivot_columns(M, phi.p)
-    if len(pivots) != len(rows):
-        raise InvariantError("rows of an invertible compound matrix must be independent")
-    lead = _bits_of(n, (flip ^ built[c] for c in pivots))
-    return layer ^ lead if on_faces else lead
+    out = []
+    for block in np.split(M, len(phis)):
+        pivots = gfp.pivot_columns(block, p)
+        if len(pivots) != len(rows):
+            raise InvariantError("rows of an invertible compound matrix must be independent")
+        lead = _bits_of(n, (flip ^ built[c] for c in pivots))
+        out.append(layer ^ lead if on_faces else lead)
+    return out
 
 
-def _gin_draw(slices: dict[int, int], phi: GenericMatrix) -> dict[int, int]:
-    """The non-faces of the generic initial complex for one draw, by
-    degree; the slices and the result are bit views.
+def _gin_draw(slices: dict[int, int], *phis: GenericMatrix) -> tuple[dict[int, int], ...]:
+    """The non-faces of the generic initial complex for each draw, by
+    degree; the slices and the results are bit views.
 
     An empty or full slice is fixed by every change of coordinates.
     Every other degree eliminates on whichever side has fewer rows: the
     f_{d-1} faces or the |I_d| ideal monomials (the ideal side on a
     tie).  The ideal-side degrees run first, descending, then the
     face-side degrees, ascending, so that each matrix can leave out
-    the columns that the draw's neighbouring degree already rules out
-    (see the module docstring).
+    the columns that every draw's neighbouring degree already rules out
+    (see the module docstring).  The draws run in lockstep, one
+    ``_eliminate`` call per degree for all of them.
     """
-    n = phi.n
-    out: dict[int, int] = {}
+    n = phis[0].n
+    outs = tuple({} for _ in phis)
     ideal_side, face_side = [], []
     for d, slice_d in slices.items():
         size = slice_d.bit_count()
         faces_d = comb(n, d) - size
         if not size or not faces_d:
-            out[d] = slice_d
+            for out in outs:
+                out[d] = slice_d
         else:
             (face_side if faces_d < size else ideal_side).append(d)
     for d in reversed(ideal_side):
         cols = None
-        if d + 1 in out:
-            # a d-set inside a (d+1)-face of the draw is a face of it
-            cols = _mask_list(_slice_bits(n, _shadow(n, _slice_bits(n, out[d + 1], d + 1)), d))
-        out[d] = _eliminate(slices[d], d, phi, False, cols)
+        if d + 1 in outs[0]:
+            # a d-set inside a (d+1)-face of a draw is a face of it
+            inside = reduce(and_, (_shadow(n, _slice_bits(n, out[d + 1], d + 1)) for out in outs))
+            cols = _mask_list(_slice_bits(n, inside, d))
+        for out, nonfaces in zip(outs, _eliminate(slices[d], d, phis, False, cols)):
+            out[d] = nonfaces
     for d in face_side:
-        # a d-set over a (d-1)-non-face of the draw is a non-face of it
-        cols = _mask_list(_slice_bits(n, _upper_shadow(n, out[d - 1]), d))
-        out[d] = _eliminate(slices[d], d, phi, True, cols)
-    return out
+        # a d-set over a (d-1)-non-face of a draw is a non-face of it
+        over = reduce(and_, (_upper_shadow(n, out[d - 1]) for out in outs))
+        cols = _mask_list(_slice_bits(n, over, d))
+        for out, nonfaces in zip(outs, _eliminate(slices[d], d, phis, True, cols)):
+            out[d] = nonfaces
+    return outs
 
 
 # attempts gin makes, each a pair of draws, before it gives up
@@ -318,7 +379,7 @@ def gin(cx: SimplicialComplex, p: int = 32003, seed: int = 1) -> SimplicialCompl
     for attempt in range(_ATTEMPTS):
         s1 = seed + 1_000_003 * attempt
         phi1, phi2 = random_gl(cx.n, p, s1), random_gl(cx.n, p, s1 + 7919)
-        nf1, nf2 = _gin_draw(slices, phi1), _gin_draw(slices, phi2)
+        nf1, nf2 = _gin_draw(slices, phi1, phi2)
         differing = [d for d in slices if nf1[d] != nf2[d]]
         if not differing:
             # slices of different degrees share no bit: their sum is their union

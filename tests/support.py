@@ -15,7 +15,7 @@ from shiftlab import (
     phi_image_matrix,
 )
 from shiftlab import complexes, gfp
-from shiftlab.exterior import revlex_column_order
+from shiftlab.exterior import _wedge_step, revlex_column_order
 from shiftlab.homology import boundary_matrix
 
 
@@ -330,6 +330,40 @@ def laplace_det(a):
     if not a:
         return 1
     return sum((-1) ** j * x * laplace_det([row[:j] + row[j + 1 :] for row in a[1:]]) for j, x in enumerate(a[0]) if x)
+
+
+def row_block_phi_image_matrix(rows, d, g, p, cols=None, row_block=256):
+    """``phi_image_matrix`` for one n x n matrix g, row block by row block
+    with no restricted wedge step: every step builds all C(n, k+1)
+    subsets, and only the last keeps just the columns in ``cols``.  The
+    oracle for the library's restricted, stacked build; takes valid
+    arguments only.
+    """
+    G = np.asarray(g, dtype=np.int64) % p
+    n = G.shape[0]
+    order = revlex_column_order(n, d)
+    steps = [_wedge_step(n, k) for k in range(d)]
+    col_masks = order if cols is None else tuple(cols)
+    if cols is not None:
+        at = np.searchsorted(np.asarray(order), np.asarray(col_masks, dtype=np.int64))
+        steps[-1] = tuple((old_idx[at], elem_idx[at]) for old_idx, elem_idx in steps[-1])
+    out = np.empty((len(rows), len(col_masks)), dtype=np.int64)
+    for lo in range(0, len(rows), row_block):
+        block = np.asarray([members_of(m) for m in rows[lo : lo + row_block]], dtype=np.intp)
+        cur = np.ones((len(block), 1), dtype=np.float64)
+        for k in range(d):
+            rows_k = G[block[:, k] - 1, :].astype(np.float64)
+            for i, (old_idx, elem_idx) in enumerate(steps[k]):
+                term = cur[:, old_idx] * rows_k[:, elem_idx]
+                if i == 0:
+                    nxt = term
+                elif i % 2:
+                    nxt -= term
+                else:
+                    nxt += term
+            cur = nxt % p
+        out[lo : lo + len(block)] = cur
+    return out, col_masks
 
 
 def direct_eliminate(slice_d, d, phi, on_faces):

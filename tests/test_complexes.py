@@ -88,6 +88,16 @@ def test_facets_cache_is_not_a_constructor_argument():
     assert cx == SimplicialComplex(2, 0b111)
 
 
+def test_repr_prints_bits_in_hex_and_evaluates_back():
+    assert repr(SimplicialComplex(3, 0xFF)) == "SimplicialComplex(n=3, bits=0xff)"
+    # a decimal bits would pass Python's 4300-digit limit from n = 14 on
+    for big in (section4_build(), full_simplex(20)):
+        assert repr(big).startswith(f"SimplicialComplex(n={big.n}, bits=0x")
+    for n in range(1, 5):
+        for cx in all_strict_complexes(n):
+            assert eval(repr(cx), {"SimplicialComplex": SimplicialComplex}) == cx
+
+
 def test_constructor_refuses_a_face_set_for_bits():
     # the face store is the bit view; a frozenset of masks is refused at once
     with pytest.raises(TypeError, match="bits must be an int"):

@@ -26,7 +26,7 @@ from shiftlab.complexes import ideal_degree_slice, ideal_slices, m_leq
 from shiftlab.exterior import GenericMatrix
 from shiftlab.faces import all_faces
 from shiftlab.verify import random_complex
-from support import direct_eliminate, laplace_det
+from support import direct_eliminate, laplace_det, row_block_phi_image_matrix
 
 P = 32003
 
@@ -50,7 +50,7 @@ def one_draw_counts(cx, d, seed):
     by the ascending-mask column order, c[i] is the rank of the first
     C(i, d) columns."""
     phi = random_gl(cx.n, P, seed)
-    pivots = {d: unpacked(exterior._gin_draw(slice_bits(cx), phi)[d])}
+    pivots = {d: unpacked(exterior._gin_draw(slice_bits(cx), phi)[0][d])}
     return [m_leq(pivots, i, d) for i in range(cx.n + 1)]
 
 
@@ -136,6 +136,41 @@ def test_phi_image_matches_exact_integer_minors(monkeypatch, row_block, p):
                 for c, tau in enumerate(cols):
                     minor = [[entries[i - 1][j - 1] for j in members_of(tau)] for i in members_of(sigma)]
                     assert int(M[r, c]) == laplace_det(minor) % p
+
+
+@pytest.mark.parametrize("row_block", [3, None])
+@pytest.mark.parametrize("p", [2, 3, P, 8388593])
+def test_phi_image_matches_the_row_block_oracle(monkeypatch, row_block, p):
+    # random rows and kept columns at n <= 9, on stacks of 1-3 matrices:
+    # each matrix's block of rows equals that matrix's unrestricted
+    # row-block build; a row block of 3 splits inside one matrix's rows
+    # and across the boundary between two
+    if row_block is not None:
+        monkeypatch.setattr(exterior, "_ROW_BLOCK", row_block)
+    rng = np.random.default_rng(p)
+    compared = 0
+    for t in range(60):
+        n = 1 + t % 9
+        d = 1 + int(rng.integers(n))
+        order = exterior.revlex_column_order(n, d)
+        rows = [m for m in order if rng.random() < 0.6]
+        cols = None if t % 5 == 0 else [m for m in order if rng.random() < 0.4]
+        g = rng.integers(-p, 2 * p, size=(1 + t % 3, n, n))
+        M, col_masks = phi_image_matrix(rows, d, g, p, cols)
+        assert M.dtype == np.int64 and M.shape == (len(g) * len(rows), len(col_masks))
+        for j, g_j in enumerate(g):
+            want, want_cols = row_block_phi_image_matrix(rows, d, g_j, p, cols)
+            assert col_masks == want_cols
+            assert np.array_equal(M[j * len(rows) : (j + 1) * len(rows)], want)
+        if len(g) == 1:
+            assert np.array_equal(phi_image_matrix(rows, d, g[0], p, cols)[0], M)
+        compared += M.size
+    assert compared >= 10000
+
+
+def test_phi_image_refuses_a_stack_of_non_square_matrices():
+    with pytest.raises(ValueError, match="not a square matrix or a stack of them"):
+        phi_image_matrix([0b001], 1, np.ones((2, 3, 4), dtype=np.int64), 7)
 
 
 def test_phi_image_refuses_rows_that_are_not_d_subsets():
@@ -384,9 +419,9 @@ def test_face_side_matches_ideal_side():
                 ideal = direct_eliminate(slice_d, d, phi, on_faces=False)
                 assert direct_eliminate(slice_d, d, phi, on_faces=True) == ideal
                 for on_faces in (False, True):
-                    assert unpacked(exterior._eliminate(bits_d, d, phi, on_faces)) == ideal
+                    assert unpacked(exterior._eliminate(bits_d, d, (phi,), on_faces)[0]) == ideal
             for on_faces in (False, True):
-                assert exterior._eliminate(bits_d, d, identity, on_faces) == bits_d
+                assert exterior._eliminate(bits_d, d, (identity,), on_faces) == [bits_d]
             compared[comb(n, d) - len(slice_d) < len(slice_d)] += 1
             complemented += 2 * d > n
     assert min(compared.values()) >= 100
@@ -413,7 +448,7 @@ def test_gin_draw_matches_direct_elimination():
             GenericMatrix(n, P, 0, upper),
         )
         for phi in draws:
-            got = exterior._gin_draw(bits, phi)
+            (got,) = exterior._gin_draw(bits, phi)
             assert sorted(got) == list(range(n + 1))
             for d, slice_d in slices.items():
                 if 0 < len(slice_d) < comb(n, d):
@@ -438,51 +473,101 @@ def kept_columns(n, d, nonfaces, on_faces):
     return tuple(m for m in order if m not in inside)
 
 
-def test_gin_degree_eliminates_on_smaller_side(monkeypatch):
-    # each matrix has the fewer rows of the two sides and is built in
-    # degree min(d, n - d): under phi^{-T} on the face side in a direct
-    # degree (2d <= n) and on the ideal side in a complemented one.  The
-    # ideal-side degrees run descending, then the face-side ones ascending,
-    # and each keeps exactly the columns its neighbouring degree allows
-    n = 8
-    full = (1 << n) - 1
-    cx = random_facet_complex(random.Random(13), n)
-    phi = random_gl(n, P, 5)
-    slices = ideal_slices(cx)
+def elimination_order(n, slices):
+    """The degrees a draw eliminates, with their side, in gin's order, and
+    the draw's non-faces known before the first: the slice where it is
+    empty or full, else None."""
+    nonfaces = {d: s if not 0 < len(s) < comb(n, d) else None for d, s in slices.items()}
+    n_faces = {d: comb(n, d) - len(s) for d, s in slices.items()}
+    ideal_side = [d for d in range(n, -1, -1) if nonfaces[d] is None and n_faces[d] >= len(slices[d])]
+    face_side = [d for d in range(n + 1) if nonfaces[d] is None and d not in ideal_side]
+    return [(d, False) for d in ideal_side] + [(d, True) for d in face_side], nonfaces
+
+
+def record_phi_calls(monkeypatch):
+    """Record (rows, degree, g, column masks) of each phi_image_matrix call
+    made through exterior, checking the stacked shape of its matrix."""
     calls = []
     real = exterior.phi_image_matrix
 
     def recorded(rows, d, g, p, cols=None):
         M, col_masks = real(rows, d, g, p, cols)
-        calls.append((len(rows), d, g is phi.dual, col_masks))
-        assert M.shape == (len(rows), len(col_masks))
+        assert M.shape == (len(g) * len(rows), len(col_masks))
+        calls.append((len(rows), d, g, col_masks))
         return M, col_masks
 
     monkeypatch.setattr(exterior, "phi_image_matrix", recorded)
-    exterior._gin_draw(slice_bits(cx), phi)
+    return calls
 
-    # the draw's non-faces: the slice where it is empty or full, else None
-    # until the degree is eliminated, in gin's order
-    nonfaces = {d: s if not 0 < len(s) < comb(n, d) else None for d, s in slices.items()}
-    n_faces = {d: comb(n, d) - len(s) for d, s in slices.items()}
-    ideal_side = [d for d in range(n, -1, -1) if nonfaces[d] is None and n_faces[d] >= len(slices[d])]
-    face_side = [d for d in range(n + 1) if nonfaces[d] is None and d not in ideal_side]
+
+def test_gin_degree_eliminates_on_smaller_side(monkeypatch):
+    # each matrix has the fewer rows of the two sides and is built in
+    # degree min(d, n - d): under phi^{-T} on the face side in a direct
+    # degree (2d <= n) and on the ideal side in a complemented one.  The
+    # ideal-side degrees run descending, then the face-side ones ascending,
+    # and each keeps exactly the columns its neighbouring degree allows.
+    # Two agreeing draws run in lockstep: one call per degree, on both
+    # draws' matrices stacked
+    n = 8
+    full = (1 << n) - 1
+    cx = random_facet_complex(random.Random(13), n)
+    phis = (random_gl(n, P, 5), random_gl(n, P, 6))
+    slices = ideal_slices(cx)
+    calls = record_phi_calls(monkeypatch)
+    exterior._gin_draw(slice_bits(cx), *phis)
+
+    order, nonfaces = elimination_order(n, slices)
     expected, sides, dropped = [], set(), set()
-    for d in ideal_side + face_side:
-        on_faces = d in face_side
+    for d, on_faces in order:
         kept = kept_columns(n, d, nonfaces, on_faces)
         built = kept if 2 * d <= n else tuple(full ^ m for m in reversed(kept))
-        expected.append((min(len(slices[d]), n_faces[d]), min(d, n - d), on_faces == (2 * d <= n), built))
+        n_faces = comb(n, d) - len(slices[d])
+        expected.append((min(len(slices[d]), n_faces), min(d, n - d), on_faces == (2 * d <= n), built))
         sides.add((on_faces, (2 * d > n) - (2 * d < n)))
         if len(kept) < comb(n, d):
             dropped.add(on_faces)
-        nonfaces[d] = direct_eliminate(slices[d], d, phi, on_faces=False)
-    assert calls == expected
+        nonfaces[d] = direct_eliminate(slices[d], d, phis[0], on_faces=False)
+        assert direct_eliminate(slices[d], d, phis[1], on_faces=False) == nonfaces[d]
+    got = []
+    for rows, d, g, col_masks in calls:
+        dual = np.array_equal(g, [phi.dual for phi in phis])
+        assert dual or np.array_equal(g, [phi.entries for phi in phis])
+        got.append((rows, d, dual, col_masks))
+    assert got == expected
     # both sides, a tie degree (d = 4) and a complemented degree are covered,
     # and each side leaves out columns at least once
     assert {True, False} <= {on_faces for on_faces, _ in sides}
     assert {-1, 0, 1} <= {where for _, where in sides}
     assert dropped == {True, False}
+
+
+def test_gin_draws_in_lockstep_keep_the_union_of_their_columns(monkeypatch):
+    # with an identity second draw the draws disagree, so their kept
+    # columns differ; each lockstep matrix keeps exactly their union, and
+    # every draw's result is the one it gets alone
+    rng = random.Random(16)
+    widened = 0
+    for t in range(30):
+        n = 5 + t % 4
+        cx = random_facet_complex(rng, n)
+        full = (1 << n) - 1
+        slices, bits = ideal_slices(cx), slice_bits(cx)
+        phis = (random_gl(n, P, 300 + t), GenericMatrix(n, P, 0, np.eye(n, dtype=np.int64)))
+        alone = [exterior._gin_draw(bits, phi)[0] for phi in phis]
+        with monkeypatch.context() as m:
+            calls = record_phi_calls(m)
+            assert exterior._gin_draw(bits, *phis) == tuple(alone)
+        order, known = elimination_order(n, slices)
+        assert len(calls) == len(order)
+        per_draw = [dict(known) for _ in phis]
+        for (d, on_faces), (_, _, _, built) in zip(order, calls):
+            kept = [set(kept_columns(n, d, nonfaces, on_faces)) for nonfaces in per_draw]
+            union = sorted(kept[0] | kept[1])
+            assert list(built) == (union if 2 * d <= n else [full ^ m for m in reversed(union)])
+            widened += kept[0] != kept[1]
+            for nonfaces, result in zip(per_draw, alone):
+                nonfaces[d] = unpacked(result[d])
+    assert widened >= 30
 
 
 def test_rank_check_guards_both_routes(monkeypatch):
@@ -496,7 +581,7 @@ def test_rank_check_guards_both_routes(monkeypatch):
         assert 0 < slice_d.bit_count() < comb(8, d)
         for on_faces in (False, True):
             with pytest.raises(InvariantError, match="must be independent"):
-                exterior._eliminate(slice_d, d, phi, on_faces)
+                exterior._eliminate(slice_d, d, (phi,), on_faces)
 
 
 def test_gin_builds_each_slice_once(monkeypatch):
