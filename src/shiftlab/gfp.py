@@ -53,7 +53,9 @@ def _residues(mat, p: int) -> np.ndarray:
     Refuses input that is not 2-D or whose entries are not integers or
     bools; the dtype decides, so only an object array is read entry by
     entry.  Integer entries are reduced before the cast, so an entry of
-    2**53 or more still gets its exact residue.
+    2**53 or more still gets its exact residue.  An integer or bool array
+    whose entries already lie in [0, p) is cast without the reduction:
+    its min and max cost far less than a mod.
     """
     a = np.asarray(mat)
     if a.ndim != 2:
@@ -61,6 +63,8 @@ def _residues(mat, p: int) -> np.ndarray:
     if a.size and a.dtype.kind not in "biu":
         if a.dtype.kind != "O" or not all(isinstance(x, (int, np.integer, np.bool_)) for x in a.flat):
             raise ValueError(f"matrix entries must be integers or bools, not {a.dtype}")
+    if a.size and a.dtype.kind in "biu" and a.min() >= 0 and a.max() < p:
+        return np.ascontiguousarray(a, dtype=np.float64)
     return np.ascontiguousarray(a % p, dtype=np.float64)
 
 

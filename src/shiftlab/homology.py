@@ -6,7 +6,9 @@ paths are provided:
 
 * :func:`hochster_betti` sums reduced homology dimensions of induced
   subcomplexes over all vertex subsets (valid for any complex), each
-  taken relative to the closed star of one of its vertices;
+  read off a chain of element matchings on its vertices: counted when
+  the unmatched faces all have one size, and otherwise eliminated
+  relative to the closed star of its top vertex;
 * :func:`shifted_betti` sums over the minimal generators, counted from
   the m_<= statistics of the ideal's degree slices (valid for shifted
   complexes, field independent).
@@ -29,6 +31,7 @@ from . import gfp
 from .complexes import (
     InvariantError,
     SimplicialComplex,
+    _layer_bits,
     _mask_list,
     _vertex_bits,
     is_shifted,
@@ -147,6 +150,24 @@ def _outside_star(d: int, v: int, h_v: int) -> int:
     return rest ^ (rest & (star >> (1 << (v - 1))))
 
 
+def _critical(relative: int, w: int, h: tuple[int, ...]) -> int:
+    """The bit view of the faces that the element matchings on the
+    vertices of W below its top leave unmatched in ``relative``.
+
+    The vertices u run in ascending order, each matching F with F + u
+    when both are still unmatched (Jonsson's element matching); with the
+    top vertex's matching, which :func:`_outside_star` already made, the
+    chain is one acyclic matching of Delta_W."""
+    rest, others = relative, w ^ (1 << (w.bit_length() - 1))
+    while others:
+        s = others & -others  # u's bit, and the shift from F + u down to F
+        others ^= s
+        up = rest & h[s.bit_length()]
+        pairs = (rest ^ up) & (up >> s)
+        rest ^= pairs | pairs << s
+    return rest
+
+
 def hochster_betti(cx: SimplicialComplex, p: int) -> BettiTable:
     """Graded Betti numbers of I_Delta via Hochster's subset sum.
 
@@ -154,26 +175,42 @@ def hochster_betti(cx: SimplicialComplex, p: int) -> BettiTable:
     each W credits its homology to every (i, j) with i + j = |W|.  A W
     that is a face is skipped: Delta_W is then a simplex.
 
-    Otherwise the homology is taken relative to the closed star of a
-    vertex v of W.  The star is a cone on v, so H~(Delta_W) is
-    H(Delta_W, st v), whose chains are the faces F of Delta_W with F + v
-    not a face (:func:`_outside_star`, on ``cx.bits`` masked to the
-    subsets of W).  Every v gives the same homology; the v with the
-    largest star in Delta_W leaves the fewest faces to reduce.  When it
-    leaves none, Delta_W is a cone on v and W is skipped.
+    Otherwise the homology is read off a chain of element matchings
+    (J. Jonsson, "Simplicial Complexes of Graphs", LNM 1928, 2008), one
+    acyclic matching in the sense of Forman's discrete Morse theory.  The
+    first matches on the top vertex v of W: the star of v is a cone, so
+    H~(Delta_W) is H(Delta_W, st v), whose chains are the faces F of
+    Delta_W with F + v not a face (:func:`_outside_star`, on ``cx.bits``
+    masked to the subsets of W).  When none is left, Delta_W is a cone on
+    v and W is skipped.  The other vertices of W then match what is left
+    (:func:`_critical`), and the homology is that of a complex on the
+    unmatched (critical) faces:
+
+    - no critical face: W adds nothing;
+    - every critical face has k vertices: the boundary maps of that
+      complex are zero, so dim H~_{k-1} is their count and every other
+      dimension is 0;
+    - otherwise :func:`_reduced_dims` eliminates the relative faces of v.
     """
     p = gfp.check_field(p)
-    bits, h = cx.bits, _vertex_bits(cx.n)
+    n, bits, h = cx.n, cx.bits, _vertex_bits(cx.n)
     table: BettiTable = {}
-    for w, below in _subsets_below(cx.n):
+    for w, below in _subsets_below(n):
         if bits >> w & 1:
             continue
-        d = bits & below
-        v = max(members_of(w), key=lambda u: (d & h[u]).bit_count())
-        relative = _outside_star(d, v, h[v])
+        v = w.bit_length()
+        relative = _outside_star(bits & below, v, h[v])
         if not relative:
             continue
-        for k, dim_k in enumerate(_reduced_dims(_mask_list(relative), p), start=-1):
+        rest = _critical(relative, w, h)
+        if not rest:
+            continue
+        size = ((rest & -rest).bit_length() - 1).bit_count()  # of the lowest critical face
+        if rest & _layer_bits(n, size) == rest:
+            dims = ((size - 1, rest.bit_count()),)
+        else:
+            dims = enumerate(_reduced_dims(_mask_list(relative), p), start=-1)
+        for k, dim_k in dims:
             if dim_k == 0:
                 continue
             j = k + 2

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 import random
 
 import numpy as np
@@ -418,3 +419,21 @@ def brute_hochster_betti(cx: SimplicialComplex, p: int):
             if dim_k and i >= 0:
                 table[(i, j)] = table.get((i, j), 0) + dim_k
     return table
+
+
+def k_polynomials(cx: SimplicialComplex, table):
+    """The K-polynomial of S/I_Delta two ways, as {degree: coefficient}
+    with no zero coefficient: 1 + sum of (-1)^(i+1) beta_{i,i+j} t^(i+j)
+    from a Betti table of I_Delta, and the sum over the faces F of
+    t^|F| (1-t)^(n-|F|), the numerator of the Hilbert series over
+    (1-t)^n, from the faces alone.  A table credited to the wrong
+    degree, or a wrong total, makes them differ."""
+    from_table = {0: 1}
+    for (i, j), beta in table.items():
+        from_table[i + j] = from_table.get(i + j, 0) + (-1) ** (i + 1) * beta
+    from_faces = {}
+    for f in cx.faces:
+        k = f.bit_count()
+        for m in range(cx.n - k + 1):
+            from_faces[k + m] = from_faces.get(k + m, 0) + (-1) ** m * math.comb(cx.n - k, m)
+    return ({d: c for d, c in from_table.items() if c}, {d: c for d, c in from_faces.items() if c})

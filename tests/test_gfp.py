@@ -89,6 +89,25 @@ def test_integer_entries_are_reduced_before_the_float_cast():
     assert (gfp.inverse(huge, 5) == gfp.inverse(reduced, 5)).all()
 
 
+@pytest.mark.parametrize("p", [2, 3, 32003])
+def test_residues_are_exact_in_and_out_of_range(p):
+    # an array inside [0, p) is cast as it is; one entry outside, negative
+    # or at least p, and the whole array is reduced
+    rng = np.random.default_rng(p)
+    inside = rng.integers(0, p, size=(6, 9))
+    for mat in (inside, inside.astype(np.uint16 if p < 2**16 else np.uint32), inside % 2 == 1):
+        got = gfp._residues(mat, p)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert (got == np.asarray(mat, dtype=np.int64)).all()
+    extremes = [-1, -p, p, p + 1, 2**62 + 1, -(2**62) - 1, np.iinfo(np.int64).min, np.iinfo(np.int64).max]
+    for x in extremes:
+        mat = inside.copy()
+        mat[2, 3] = x
+        want = [[int(y) % p for y in row] for row in mat.tolist()]
+        assert gfp._residues(mat, p).tolist() == want
+        assert gfp._residues(mat.T, p).tolist() == [list(col) for col in zip(*want)]
+
+
 @pytest.mark.parametrize(
     "mat",
     [

@@ -20,12 +20,13 @@ from shiftlab import (
 from shiftlab import gfp, homology
 from shiftlab.complexes import InvariantError, _mask_list, _vertex_bits, restriction
 from shiftlab.faces import members_of
-from shiftlab.homology import _outside_star, _reduced_dims, _subsets_below, betti_tsv, boundary_matrix
+from shiftlab.homology import _critical, _outside_star, _reduced_dims, _subsets_below, betti_tsv, boundary_matrix
 from shiftlab.verify import random_complex
 
 from support import (
     all_strict_complexes,
     brute_hochster_betti,
+    k_polynomials,
     numpy_reduced_homology_dims,
     subsets_of,
 )
@@ -234,35 +235,93 @@ def _cone(cx):
 
 def test_hochster_skips_every_subset_that_induces_a_cone(monkeypatch):
     # a cone's face ideal is its base's, in one more variable, so the two
-    # tables agree; a W holding the apex induces a cone on it and is
-    # skipped, so the cone reduces exactly the subsets its base reduces
-    calls = []
-    reduce = homology._reduced_dims
-    monkeypatch.setattr(homology, "_reduced_dims", lambda *a: calls.append(1) or reduce(*a))
+    # tables agree; a W holding the apex has the apex on top, induces a
+    # cone on it and is skipped, so the cone passes the cone test (a
+    # nonzero top-vertex relative set) for exactly the subsets its base
+    # passes, and eliminates exactly as many
+    calls, eliminated = [], []
+    outside, reduce = homology._outside_star, homology._reduced_dims
+    monkeypatch.setattr(homology, "_outside_star", lambda *a: (r := outside(*a)) and calls.append(1) or r)
+    monkeypatch.setattr(homology, "_reduced_dims", lambda *a: eliminated.append(1) or reduce(*a))
     cyc = from_facets(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
     bases = [cyc, RP2, random_complex(6, 0.1, 3), random_complex(7, 0.05, 4)]
     for base in bases:
         cone = _cone(base)
         for p in (2, 3):
             calls.clear()
+            eliminated.clear()
             table = hochster_betti(base, p)
-            reduced = len(calls)
+            reduced, base_eliminated = len(calls), len(eliminated)
             calls.clear()
+            eliminated.clear()
             assert hochster_betti(cone, p) == table == brute_hochster_betti(cone, p)
             assert len(calls) == reduced > 0
+            assert len(eliminated) == base_eliminated
 
 
 def test_hochster_passes_a_nonempty_face_list(monkeypatch):
     # a W whose relative faces are none induces a cone and is skipped, so
-    # every elimination gets at least one face, and never the empty face
+    # every elimination gets at least one face, and never the empty face;
+    # the first two complexes still eliminate (RP2 once, for W = [6]); the
+    # last two never do, since every W leaves critical faces of one size
+    # or none
     seen = []
     reduce = homology._reduced_dims
     monkeypatch.setattr(homology, "_reduced_dims", lambda masks, p: seen.append(masks) or reduce(masks, p))
-    for cx in [RP2, random_complex(6, 0.1, 1), random_complex(7, 0.05, 2)]:
+    for cx in [RP2, random_complex(7, 0.05, 4)]:
         for p in (2, 3):
             seen.clear()
             assert hochster_betti(cx, p) == brute_hochster_betti(cx, p)
             assert seen and all(masks and 0 not in masks for masks in seen)
+    for cx in [random_complex(6, 0.1, 1), random_complex(7, 0.05, 2)]:
+        for p in (2, 3):
+            seen.clear()
+            assert hochster_betti(cx, p) == brute_hochster_betti(cx, p)
+            assert seen == []
+
+
+def test_chained_matchings_count_the_homology_they_claim_to():
+    # the oracle for Hochster's shortcut: on every non-face W that is no
+    # cone on its top vertex, the elimination of the top vertex's relative
+    # faces is all zero when the element matchings leave no critical face,
+    # and has one nonzero entry, at the critical faces' size k (that is,
+    # dim H~_{k-1}), equal to their count when they all have k vertices
+    corpus = [cx for n in range(1, 5) for cx in all_strict_complexes(n)]
+    corpus += [random_complex(n, density, seed) for n in (6, 7, 8)
+               for density in (0.01, 0.02, 0.03, 0.06, 0.1) for seed in (1, 2, 3)]
+    seen = {"none": 0, "one size": 0, "mixed": 0}
+    for cx in corpus:
+        h = _vertex_bits(cx.n)
+        for w, below in _subsets_below(cx.n):
+            if cx.bits >> w & 1:
+                continue
+            v = w.bit_length()
+            relative = _outside_star(cx.bits & below, v, h[v])
+            if not relative:
+                continue
+            critical = _mask_list(_critical(relative, w, h))
+            assert set(critical) <= set(_mask_list(relative))
+            sizes = {f.bit_count() for f in critical}
+            kind = "none" if not sizes else "one size" if len(sizes) == 1 else "mixed"
+            seen[kind] += 1
+            for p in (2, 3):
+                dims = _reduced_dims(_mask_list(relative), p)
+                if kind == "none":
+                    assert not any(dims)
+                elif kind == "one size":
+                    (k,) = sizes
+                    assert [(i, d) for i, d in enumerate(dims) if d] == [(k, len(critical))]
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("p", [2, 32003])
+def test_hochster_tables_give_the_k_polynomial_of_the_faces(p):
+    # 1 + sum (-1)^(i+1) beta_{i,i+j} t^(i+j) = sum over F of t^|F| (1-t)^(n-|F|)
+    corpus = [RP2] + [random_complex(n, density, seed) for n in range(6, 11)
+                      for density in (0.01, 0.02, 0.05, 0.1) for seed in (1, 2)]
+    for cx in corpus:
+        from_table, from_faces = k_polynomials(cx, hochster_betti(cx, p))
+        assert from_table == from_faces
 
 
 def test_hochster_full_simplex_empty():
