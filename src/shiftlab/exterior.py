@@ -90,7 +90,7 @@ from .complexes import (
     from_nonfaces,
     is_shifted,
 )
-from .faces import all_faces, members_of
+from .faces import all_faces
 
 _ROW_BLOCK = 256
 
@@ -144,6 +144,13 @@ def revlex_column_order(n: int, d: int) -> tuple[int, ...]:
     return tuple(sorted(all_faces(n, d)))
 
 
+def _members(masks, n: int, k: int) -> np.ndarray:
+    """The elements of k-subsets of [n], one row per mask, ascending and
+    counted from 0: a (len(masks), k) integer array."""
+    m = np.asarray(masks, dtype=np.int64)
+    return np.nonzero(m[:, None] >> np.arange(n) & 1)[1].reshape(len(m), k)
+
+
 @lru_cache(maxsize=None)
 def _wedge_step(n: int, k: int):
     """Gather tables for one wedge step from degree k to k+1.
@@ -154,13 +161,13 @@ def _wedge_step(n: int, k: int):
     per position, indexed by the target subsets, from the last position
     q = k to the first, so the i-th pair has sign (-1)^i.
     """
-    small = {m: idx for idx, m in enumerate(revlex_column_order(n, k))}
-    targets = [(mask, members_of(mask)) for mask in revlex_column_order(n, k + 1)]
+    small = np.asarray(revlex_column_order(n, k), dtype=np.int64)
+    targets = np.asarray(revlex_column_order(n, k + 1), dtype=np.int64)
+    elems = _members(targets, n, k + 1)
     steps = []
     for q in range(k, -1, -1):
-        elems = [c[q] for _, c in targets]
-        old_idx = [small[mask ^ (1 << (e - 1))] for (mask, _), e in zip(targets, elems)]
-        steps.append((np.asarray(old_idx, dtype=np.intp), np.asarray(elems, dtype=np.intp) - 1))
+        e = np.ascontiguousarray(elems[:, q])
+        steps.append((np.searchsorted(small, targets ^ (1 << e)), e))
     return tuple(steps)
 
 
@@ -188,21 +195,24 @@ def _kept_steps(n: int, d: int, at: np.ndarray) -> list:
 
 
 def _wedge(cur: np.ndarray, row: np.ndarray, tables, p: int) -> np.ndarray:
-    """One wedge step on a block: the signed sum of cur[:, old_idx] *
-    row[:, elem_idx] over the step's tables, mod p, computed in place so
-    that at most one term is alive beside the sum."""
+    """One wedge step on a block, subset-major: ``cur`` holds one row per
+    k-subset and ``row`` one per element of [n], each with one entry per
+    row of the block.  Returns the signed sum of cur[old_idx] *
+    row[elem_idx] over the step's tables, mod p, computed in place so
+    that at most one term is alive beside the sum; the last term's
+    buffer is the scratch of the reduction."""
     (old_idx, elem_idx), *rest = tables
-    nxt = cur[:, old_idx]
-    nxt *= row[:, elem_idx]
+    nxt = cur[old_idx]
+    nxt *= row[elem_idx]
+    term = None
     for i, (old_idx, elem_idx) in enumerate(rest):
-        term = cur[:, old_idx]
-        term *= row[:, elem_idx]
+        term = cur[old_idx]
+        term *= row[elem_idx]
         if i % 2:
             nxt += term
         else:
             nxt -= term
-    nxt %= p
-    return nxt
+    return gfp._reduce(nxt, p, term)
 
 
 def _check_subsets(masks: Sequence[int], d: int, n: int, what: str) -> None:
@@ -229,17 +239,22 @@ def phi_image_matrix(
     given, is an ascending list of distinct d-subsets of [n].
 
     The minors are built by d wedge steps, one row of g at a time, over
-    blocks of ``_ROW_BLOCK`` rows of the whole stacked matrix.  Step k
-    builds only the (k+1)-subsets of a returned column (all of them when
-    ``cols`` is None), and adds its k+1 <= n signed terms, each the
-    product of two residues and so below p**2 in absolute value,
-    straight into the next degree's array.  For n <= 128 such a sum
-    stays below 128 * p**2, inside the 2**53 that ``gfp.check_field``
-    keeps for 128 terms; a complex has n <= ``MAX_WALK_N`` (20).
+    blocks of ``_ROW_BLOCK`` rows of the whole stacked matrix, each held
+    subset-major (one array row per subset) so that every gather copies
+    whole rows.  Step k builds only the (k+1)-subsets of a returned
+    column (all of them when ``cols`` is None), and adds its k+1 <= n
+    signed terms, each the product of two residues and so at most
+    (p-1)**2 < 2**46 in absolute value, straight into the next degree's
+    array.  A complex has n <= ``MAX_WALK_N`` (20), so such a sum stays
+    below 20 * 2**46 < 2**51 - 2, the bound inside which ``gfp._reduce``
+    is exact, for every p that ``gfp.check_field`` admits.  Raises
+    ValueError for a stack that holds no matrix.
     """
     p = gfp.check_field(p)
     G = np.asarray(g)
     shape = G.shape
+    if G.ndim == 3 and not shape[0]:
+        raise ValueError("the stack of coordinate changes holds no matrix")
     # the stack's matrices, one above the other: (D * n, n)
     G = gfp._residues(G.reshape(shape[0] * shape[1], shape[2]) if G.ndim == 3 else G, p)
     n = shape[-1]
@@ -259,17 +274,19 @@ def phi_image_matrix(
             raise ValueError("column masks must be ascending and distinct")
         at = np.searchsorted(np.asarray(order, dtype=np.int64), np.asarray(col_masks, dtype=np.int64))
         steps = _kept_steps(n, d, at)
-    # row i of the stacked matrix reads rows n * (i // len(rows)) + sigma - 1 of G
-    sigmas = np.asarray([members_of(m) for m in rows], dtype=np.intp).reshape(len(rows), d) - 1
-    picks = (n * np.arange(len(G) // n, dtype=np.intp)[:, None, None] + sigmas).reshape(-1, d)
+    # row i of the stacked matrix reads rows n * (i // len(rows)) + sigma - 1 of G,
+    # which are columns of its transpose
+    sigmas = _members(rows, n, d)
+    picks = (n * np.arange(len(G) // n)[:, None, None] + sigmas).reshape(-1, d)
+    GT = np.ascontiguousarray(G.T)
     out = np.empty((len(picks), len(col_masks)), dtype=np.int64)
 
     for lo in range(0, len(picks), _ROW_BLOCK):
         block = picks[lo : lo + _ROW_BLOCK]
-        cur = np.ones((len(block), 1), dtype=np.float64)
+        cur = np.ones((1, len(block)), dtype=np.float64)
         for k in range(d):
-            cur = _wedge(cur, G[block[:, k]], steps[k], p)
-        out[lo : lo + len(block)] = cur
+            cur = _wedge(cur, GT[:, block[:, k]], steps[k], p)
+        out[lo : lo + len(block)] = cur.T
 
     return out, col_masks
 

@@ -7,6 +7,13 @@ float64.  Entries stay below p, and p must be a prime with
 _PANEL * (p-1)**2 + p < 2**53 (hence p <= 2**23), so every
 intermediate product sum is an exactly represented integer.
 
+Large sums are reduced by :func:`_reduce`, x - p * floor((x + 0.5) / p)
+with one multiply and one floor, exact for |x| <= 2**51 - 2 and several
+times faster than numpy's float remainder; small arrays keep ``%``,
+which costs less below about 150 entries.  The panel of
+:func:`pivot_columns` is as wide as that bound allows for p: 128 pivots
+up to p ~ 2**22, 32 at the largest prime ``check_field`` admits.
+
 The primitive behind every rank and pivot set is :func:`pivot_columns`:
 Gaussian elimination with a fixed left-to-right column order, returning
 the columns that carry a pivot.  The rank of the matrix, or of any
@@ -27,6 +34,8 @@ from functools import lru_cache
 import numpy as np
 
 _PANEL = 128
+# the largest |x| that _reduce maps exactly to x mod p
+_REDUCE_BOUND = 2**51 - 2
 
 
 class SingularMatrixError(ValueError):
@@ -45,6 +54,37 @@ def check_field(p: int) -> int:
     if not exact or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
         raise ValueError(f"field size {p} is not a prime p with {_PANEL}*(p-1)^2 + p < 2^53")
     return p
+
+
+def _reduce(x: np.ndarray, p: int, buf: np.ndarray | None = None) -> np.ndarray:
+    """Reduce the float64 integers x mod p in place, as
+    x - p * floor((x + 0.5) * (1/p)), and return x; ``buf``, an array of
+    x's shape, is overwritten as scratch (one is allocated if it is None).
+
+    Exact for every integer |x| <= _REDUCE_BOUND = 2**51 - 2.  Write
+    x = kp + r with 0 <= r < p.  x + 0.5 is a half-integer below 2**51 in
+    absolute value, so it is exact, and (x + 0.5) / p = k + (r + 0.5) / p
+    has its fractional part in [0.5/p, 1 - 0.5/p].  The float 1/p and the
+    product each carry a relative error of at most 2**-53, so the
+    computed quotient lies within |x + 0.5| / p * (2**-52 + 2**-106) <
+    0.5/p of the true one: strictly inside (k, k + 1), so its floor is
+    k.  Then p * k and x - p * k are integers below 2**53, hence exact.
+    """
+    if buf is None:
+        buf = np.empty_like(x)
+    np.add(x, 0.5, out=buf)
+    buf *= 1.0 / p
+    np.floor(buf, out=buf)
+    buf *= p
+    x -= buf
+    return x
+
+
+def _panel_width(p: int) -> int:
+    """The largest w <= _PANEL with w * (p-1)**2 + p <= _REDUCE_BOUND: a
+    flush of w pivots, a value below p minus w products below p**2,
+    stays inside the bound of :func:`_reduce`."""
+    return min(_PANEL, (_REDUCE_BOUND - p) // (p - 1) ** 2)
 
 
 def _residues(mat, p: int) -> np.ndarray:
@@ -82,14 +122,17 @@ def pivot_columns(mat, p: int) -> list[int]:
     - Delayed ("panel") updates.  Pivot k writes column k of F and the
       trailing columns of row k of R.  Each column is brought up to
       date on the live rows by one F @ R product, and its largest live
-      entry picks the pivot row; when the panel holds w = min(_PANEL, m)
-      pivots one product updates the live rows on the trailing columns
-      and the panel starts again.
+      entry picks the pivot row; when the panel holds
+      w = min(_panel_width(p), m) pivots one product updates the live
+      rows on the trailing columns and the panel starts again.
 
-    Exactness: entries are below p, so a panel product adds at most
-    _PANEL products each at most (p-1)**2 to a value below p, which
-    check_field keeps below 2**53.  Every update is reduced mod p
-    before it is read, and restricting updates to live rows or
+    Exactness: entries are below p, so a panel product adds at most w
+    products each at most (p-1)**2 to a value below p.  The flush
+    reduces that sum with :func:`_reduce`, and ``_panel_width`` keeps
+    it inside its bound of 2**51 - 2: w is 128 up to p ~ 2**22 and 32 at
+    8388593.  A column or pivot row is updated by fewer than w pivots
+    and reduced with ``%``, exact below 2**53.  Every update is reduced
+    mod p before it is read, and restricting updates to live rows or
     trailing columns changes which entries a product covers, not how
     many terms any of its sums holds.
     """
@@ -98,7 +141,7 @@ def pivot_columns(mat, p: int) -> list[int]:
     m, nc = M.shape
     if m == 0 or nc == 0:
         return []
-    w = min(_PANEL, m)
+    w = min(_panel_width(p), m)
     F = np.zeros((m, w))
     R = np.zeros((w, nc))
     k = 0  # pivots in the current panel
@@ -121,9 +164,10 @@ def pivot_columns(mat, p: int) -> list[int]:
         F[t, : k + 1] = F[live, : k + 1]
         k += 1
         if k == w:
+            update = F[:live] @ R[:, c + 1 :]
             trailing = M[:live, c + 1 :]
-            trailing -= F[:live] @ R[:, c + 1 :]
-            trailing %= p
+            trailing -= update
+            _reduce(trailing, p, update)
             k = 0
     return pivots
 

@@ -16,7 +16,7 @@ from shiftlab import (
     phi_image_matrix,
 )
 from shiftlab import complexes, gfp
-from shiftlab.exterior import _wedge_step, revlex_column_order
+from shiftlab.exterior import revlex_column_order
 from shiftlab.homology import boundary_matrix
 
 
@@ -333,17 +333,58 @@ def laplace_det(a):
     return sum((-1) ** j * x * laplace_det([row[:j] + row[j + 1 :] for row in a[1:]]) for j, x in enumerate(a[0]) if x)
 
 
+def bareiss_det(a):
+    """Determinant of a square list of Python ints by fraction-free
+    (Bareiss) elimination: every division is exact, so the result is
+    exact at any size of matrix or entry."""
+    a = [list(row) for row in a]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap], sign = a[swap], a[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
+
+
+@functools.cache
+def members_wedge_step(n, k):
+    """The gather tables of one wedge step from degree k to k+1, built
+    subset by subset with ``members_of``: the oracle for
+    ``exterior._wedge_step``, in the same format.
+
+    For each (k+1)-subset c' (in column order) and each position q of an
+    element e in c', the contribution is sign * cur[c' - e] * row[e],
+    sign = (-1)^(k - q); one (old_idx, elem_idx) pair of tables per
+    position, from q = k down to q = 0.
+    """
+    small = {m: idx for idx, m in enumerate(revlex_column_order(n, k))}
+    targets = [(mask, members_of(mask)) for mask in revlex_column_order(n, k + 1)]
+    steps = []
+    for q in range(k, -1, -1):
+        elems = [c[q] for _, c in targets]
+        old_idx = [small[mask ^ (1 << (e - 1))] for (mask, _), e in zip(targets, elems)]
+        steps.append((np.asarray(old_idx, dtype=np.intp), np.asarray(elems, dtype=np.intp) - 1))
+    return tuple(steps)
+
+
 def row_block_phi_image_matrix(rows, d, g, p, cols=None, row_block=256):
     """``phi_image_matrix`` for one n x n matrix g, row block by row block
     with no restricted wedge step: every step builds all C(n, k+1)
-    subsets, and only the last keeps just the columns in ``cols``.  The
-    oracle for the library's restricted, stacked build; takes valid
+    subsets, and only the last keeps just the columns in ``cols``.  Rows
+    are row-major and each step is reduced with ``%``.  The oracle for
+    the library's restricted, stacked, subset-major build; takes valid
     arguments only.
     """
     G = np.asarray(g, dtype=np.int64) % p
     n = G.shape[0]
     order = revlex_column_order(n, d)
-    steps = [_wedge_step(n, k) for k in range(d)]
+    steps = [members_wedge_step(n, k) for k in range(d)]
     col_masks = order if cols is None else tuple(cols)
     if cols is not None:
         at = np.searchsorted(np.asarray(order), np.asarray(col_masks, dtype=np.int64))

@@ -26,7 +26,7 @@ from shiftlab.complexes import ideal_degree_slice, ideal_slices, m_leq
 from shiftlab.exterior import GenericMatrix
 from shiftlab.faces import all_faces
 from shiftlab.verify import random_complex
-from support import direct_eliminate, laplace_det, row_block_phi_image_matrix
+from support import bareiss_det, direct_eliminate, laplace_det, members_wedge_step, row_block_phi_image_matrix
 
 P = 32003
 
@@ -168,6 +168,32 @@ def test_phi_image_matches_the_row_block_oracle(monkeypatch, row_block, p):
     assert compared >= 10000
 
 
+def test_wedge_step_tables_match_the_members_of_builder():
+    for n in range(1, 13):
+        for k in range(n):
+            got, want = exterior._wedge_step(n, k), members_wedge_step(n, k)
+            assert len(got) == len(want) == k + 1
+            for (old_idx, elem_idx), (want_old, want_elem) in zip(got, want):
+                assert np.array_equal(old_idx, want_old) and np.array_equal(elem_idx, want_elem)
+
+
+@pytest.mark.parametrize("p", [P, 8388593])
+def test_phi_image_of_the_full_set_is_the_determinant(p):
+    # the one degree-16 minor: its last wedge step sums 16 terms of up to
+    # (p-1)**2, about 2**50 at 8388593; in the second matrix of the last
+    # stack, the row of that step is p - 1 on every term added and 0 on
+    # every term subtracted
+    n, full = 16, (1 << 16) - 1
+    rng = np.random.default_rng(p)
+    stacks = [rng.integers(0, p, size=(2, n, n)) for _ in range(3)]
+    stacks[-1][1, -1] = np.where(np.arange(n) % 2, p - 1, 0)
+    for g in stacks:
+        want = [bareiss_det(g_j.tolist()) % p for g_j in g]
+        M, cols = phi_image_matrix([full], n, g, p)
+        assert cols == (full,) and M[:, 0].tolist() == want
+        assert phi_image_matrix([full], n, g[0], p)[0].tolist() == [want[:1]]
+
+
 def test_phi_image_refuses_a_stack_of_non_square_matrices():
     with pytest.raises(ValueError, match="not a square matrix or a stack of them"):
         phi_image_matrix([0b001], 1, np.ones((2, 3, 4), dtype=np.int64), 7)
@@ -209,6 +235,7 @@ def test_phi_image_refuses_rows_that_are_not_d_subsets():
         (np.ones((2, 3), dtype=np.int64), "not a square matrix"),
         (np.ones((3, 2), dtype=np.int64), "not a square matrix"),
         (np.ones(3, dtype=np.int64), "must be 2-D"),
+        (np.zeros((0, 4, 4), dtype=np.int64), "stack of coordinate changes holds no matrix"),
     ],
 )
 def test_phi_image_refuses_a_malformed_coordinate_change(g, message):

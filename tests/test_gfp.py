@@ -77,6 +77,61 @@ def test_pivot_columns_matches_columnwise_elimination_on_large_shapes(monkeypatc
             assert len(want) > 3 * gfp._PANEL
 
 
+@pytest.mark.parametrize("p", PRIMES)
+def test_reduce_matches_python_mod_up_to_its_bound(p):
+    bound = 2**51 - 2
+    assert gfp._REDUCE_BOUND == bound
+    top = bound // p
+    xs = [
+        k * p + r
+        for k in (0, 1, 2, -1, -2, -3, top - 1, top, -top, -top - 1)
+        for r in {0, 1, 2, p - 1, p // 2}
+        if abs(k * p + r) <= bound
+    ]
+    xs += [bound, bound - 1, -bound, -bound + 1]
+    xs += np.random.default_rng(p).integers(-bound, bound + 1, size=2000).tolist()
+    want = [x % p for x in xs]
+    x = np.array(xs, dtype=np.float64)
+    assert x.tolist() == xs  # every x is exact in float64
+    assert gfp._reduce(x.copy(), p).tolist() == want
+    # a 2-D strided view, reduced in place with a caller's scratch buffer
+    wide = np.zeros((2, 2 * len(xs)))
+    wide[0, ::2] = xs
+    view = wide[:1, ::2]
+    assert gfp._reduce(view, p, np.empty(view.shape)) is view
+    assert wide[0, ::2].tolist() == want and not wide[:, 1::2].any() and not wide[1].any()
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_panel_width_keeps_a_flush_inside_the_reduce_bound(p):
+    w = gfp._panel_width(p)
+    assert 1 <= w <= gfp._PANEL
+    assert w * (p - 1) ** 2 + p <= 2**51 - 2
+    assert w == gfp._PANEL or (w + 1) * (p - 1) ** 2 + p > 2**51 - 2
+    assert gfp._panel_width(32003) == 128 and gfp._panel_width(8388593) == 32
+
+
+def test_pivot_columns_crosses_derived_panel_flushes_at_the_largest_prime(monkeypatch):
+    # the default panel at 8388593 is 32 pivots, so 120 or more rows of
+    # full rank flush it at least three times, each flush reducing sums
+    # of up to 32 products below 2**46
+    p = 8388593
+    flushes = []
+    reduce = gfp._reduce
+    monkeypatch.setattr(gfp, "_reduce", lambda x, q, buf=None: flushes.append(x.shape) or reduce(x, q, buf))
+    rng = np.random.default_rng(7)
+    mats = [
+        rng.integers(p - 8, p, size=(120, 200)),  # entries near p - 1: the largest products
+        rng.integers(0, p, size=(130, 150)),
+        planted(rng, 160, 260, 125, p),
+    ]
+    for mat in mats:
+        flushes.clear()
+        want = columnwise_pivot_columns(mat, p)
+        assert gfp.pivot_columns(mat, p) == want
+        assert len(want) >= 120 and len(flushes) >= 3
+
+
 def test_integer_entries_are_reduced_before_the_float_cast():
     big = [[2**60 + 1, 1], [1, 1]]  # 2**60 + 1 = 2 mod 3; float64 rounds it to 2**60 = 1 mod 3
     assert gfp.pivot_columns(big, 3) == [0, 1]
