@@ -4,7 +4,10 @@ Every command reads a complex JSON document
 ``{"n": int, "facets": [[int, ...], ...], "mode": "strict"}`` where
 named, writes JSON or TSV to stdout, and exits 0 exactly when no check
 failed.  ``mode`` may be left out; any other value, like a facet family
-whose closure misses a vertex of [n], is refused with exit code 2.  All commands are deterministic given flags and seed.
+whose closure misses a vertex of [n], is refused with exit code 2.  So
+are a ``--field`` or ``--prime`` that ``gfp.check_field`` refuses,
+whether or not the command uses it, and a run out of memory.  All
+commands are deterministic given flags and seed.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import json
 import sys
 from math import comb
 
-from . import section4 as s4
+from . import gfp, section4 as s4
 from .complexes import (
     ShiftlabError,
     f_vector,
@@ -189,10 +192,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # refused even where the command would not use the field
+        for name in ("field", "prime"):
+            if name in vars(args):
+                gfp.check_field(vars(args)[name])
         return args.func(args)
+    except MemoryError as exc:
+        message = str(exc) or "out of memory"
     except (OSError, ValueError, KeyError, ShiftlabError) as exc:
-        print(f"shiftlab: error: {exc}", file=sys.stderr)
-        return 2
+        message = str(exc)
+    print(f"shiftlab: error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -5,17 +5,19 @@ numbers of the Stanley-Reisner ideal.  Two independent computation
 paths are provided:
 
 * :func:`hochster_betti` sums reduced homology dimensions of induced
-  subcomplexes over all vertex subsets (valid for any complex), each
-  read off a chain of element matchings on its vertices: counted when
-  the unmatched faces all have one size, and otherwise eliminated
-  relative to the closed star of its top vertex;
+  subcomplexes over all vertex subsets (valid for any complex);
 * :func:`shifted_betti` sums over the minimal generators, counted from
   the m_<= statistics of the ideal's degree slices (valid for shifted
   complexes, field independent).
 
-Every boundary rank, over every field, comes from one sparse elimination
-mod p with clearing (:func:`_reduced_dims`) over one flat list of face
-masks, with no matrix and no numpy call per map.
+Reduced homology has one routine, :func:`_reduced_homology`, which
+:func:`reduced_homology_dims` runs on the whole vertex set and
+:func:`hochster_betti` on each non-face vertex subset: a chain of element
+matchings counts the homology when the unmatched faces all have one
+size.  Otherwise its kernel :func:`_reduced_dims`, one sparse
+elimination mod p with clearing over one flat list of face masks,
+eliminates relative to the closed star of the top vertex, with no
+matrix and no numpy call per map.
 :func:`boundary_matrix` builds the same maps as numpy arrays for
 independent checks; it is not exported from ``shiftlab``, and the tests
 import it from here.
@@ -112,17 +114,6 @@ def _reduced_dims(masks: list[int], p: int) -> tuple[int, ...]:
     return tuple(size[k] - keys[k] - keys[k - 1] for k in range(largest + 1))
 
 
-def reduced_homology_dims(cx: SimplicialComplex, p: int) -> tuple[int, ...]:
-    """Dimensions of reduced homology (dim H~_{-1}, dim H~_0, ..., dim H~_dim).
-
-    dim H~_k = nullity(d_k) - rank(d_{k+1}), with the reduced chain
-    complex (C_{-1} = K spanned by the empty face); the ranks come from
-    :func:`_reduced_dims`, the one sparse elimination for every p.
-    """
-    p = gfp.check_field(p)
-    return _reduced_dims(_mask_list(cx.bits), p)
-
-
 def _subsets_below(n: int):
     """Every nonempty vertex set w < 2^n with the integer whose bit f is
     set iff f is a subset of w.
@@ -140,32 +131,54 @@ def _subsets_below(n: int):
             stack.append(child)
 
 
-def _outside_star(d: int, v: int, h_v: int) -> int:
-    """The bit view of the faces F with F + v not a face, in the complex
-    whose bit view is ``d``; ``h_v`` is H_v.  These are the faces without
-    v, less the faces with v shifted down by v's bit; none has v, and the
-    empty face is among them only if v is not a vertex."""
-    star = d & h_v
+def _reduced_homology(d: int, w: int, h: tuple[int, ...], p: int):
+    """The pairs (k, dim H~_k) of the complex on the vertex set ``w``
+    whose bit view is ``d``; ``h`` is :func:`_vertex_bits` of the ground
+    set.  A pair may have dim 0.
+
+    A chain of element matchings (J. Jonsson, "Simplicial Complexes of
+    Graphs", LNM 1928, 2008) is one acyclic matching in the sense of
+    Forman's discrete Morse theory.  The first matches on the top vertex
+    v of W: its star is a cone, so H~ is H(Delta, st v), whose chains
+    (the relative faces) are the faces F with F + v not a face.  Each
+    other vertex u of W, ascending, then matches F with F + u while both
+    are unmatched.  The critical faces left give the homology:
+
+    - none (a cone on v, a simplex included): no homology;
+    - all with k vertices: the boundary maps between them are zero, so
+      dim H~_{k-1} is their count;
+    - otherwise :func:`_reduced_dims` eliminates the relative faces.
+    """
+    v = w.bit_length()
+    star = d & h[v]
     rest = d ^ star
-    return rest ^ (rest & (star >> (1 << (v - 1))))
-
-
-def _critical(relative: int, w: int, h: tuple[int, ...]) -> int:
-    """The bit view of the faces that the element matchings on the
-    vertices of W below its top leave unmatched in ``relative``.
-
-    The vertices u run in ascending order, each matching F with F + u
-    when both are still unmatched (Jonsson's element matching); with the
-    top vertex's matching, which :func:`_outside_star` already made, the
-    chain is one acyclic matching of Delta_W."""
-    rest, others = relative, w ^ (1 << (w.bit_length() - 1))
-    while others:
+    relative = rest = rest ^ (rest & (star >> (1 << (v - 1))))
+    others = w ^ (1 << (v - 1))
+    while rest and others:
         s = others & -others  # u's bit, and the shift from F + u down to F
         others ^= s
         up = rest & h[s.bit_length()]
         pairs = (rest ^ up) & (up >> s)
         rest ^= pairs | pairs << s
-    return rest
+    if not rest:
+        return ()
+    size = ((rest & -rest).bit_length() - 1).bit_count()  # of the lowest critical face
+    if rest & _layer_bits(len(h) - 1, size) == rest:
+        return ((size - 1, rest.bit_count()),)
+    return enumerate(_reduced_dims(_mask_list(relative), p), start=-1)
+
+
+def reduced_homology_dims(cx: SimplicialComplex, p: int) -> tuple[int, ...]:
+    """Dimensions of reduced homology (dim H~_{-1}, dim H~_0, ..., dim H~_dim).
+
+    :func:`_reduced_homology` on W = [n]: a simplex is a cone on its top
+    vertex, so it needs no case of its own.
+    """
+    p = gfp.check_field(p)
+    dims = [0] * (cx.dim + 2)
+    for k, dim_k in _reduced_homology(cx.bits, (1 << cx.n) - 1, _vertex_bits(cx.n), p):
+        dims[k + 1] = dim_k
+    return tuple(dims)
 
 
 def hochster_betti(cx: SimplicialComplex, p: int) -> BettiTable:
@@ -173,24 +186,9 @@ def hochster_betti(cx: SimplicialComplex, p: int) -> BettiTable:
 
     beta_{i,i+j} = sum over W of size i+j of dim H~_{j-2}(Delta_W), and
     each W credits its homology to every (i, j) with i + j = |W|.  A W
-    that is a face is skipped: Delta_W is then a simplex.
-
-    Otherwise the homology is read off a chain of element matchings
-    (J. Jonsson, "Simplicial Complexes of Graphs", LNM 1928, 2008), one
-    acyclic matching in the sense of Forman's discrete Morse theory.  The
-    first matches on the top vertex v of W: the star of v is a cone, so
-    H~(Delta_W) is H(Delta_W, st v), whose chains are the faces F of
-    Delta_W with F + v not a face (:func:`_outside_star`, on ``cx.bits``
-    masked to the subsets of W).  When none is left, Delta_W is a cone on
-    v and W is skipped.  The other vertices of W then match what is left
-    (:func:`_critical`), and the homology is that of a complex on the
-    unmatched (critical) faces:
-
-    - no critical face: W adds nothing;
-    - every critical face has k vertices: the boundary maps of that
-      complex are zero, so dim H~_{k-1} is their count and every other
-      dimension is 0;
-    - otherwise :func:`_reduced_dims` eliminates the relative faces of v.
+    that is a face is skipped: Delta_W is then a simplex.  Every other
+    W's homology comes from :func:`_reduced_homology`, on ``cx.bits``
+    masked to the subsets of W.
     """
     p = gfp.check_field(p)
     n, bits, h = cx.n, cx.bits, _vertex_bits(cx.n)
@@ -198,24 +196,11 @@ def hochster_betti(cx: SimplicialComplex, p: int) -> BettiTable:
     for w, below in _subsets_below(n):
         if bits >> w & 1:
             continue
-        v = w.bit_length()
-        relative = _outside_star(bits & below, v, h[v])
-        if not relative:
-            continue
-        rest = _critical(relative, w, h)
-        if not rest:
-            continue
-        size = ((rest & -rest).bit_length() - 1).bit_count()  # of the lowest critical face
-        if rest & _layer_bits(n, size) == rest:
-            dims = ((size - 1, rest.bit_count()),)
-        else:
-            dims = enumerate(_reduced_dims(_mask_list(relative), p), start=-1)
-        for k, dim_k in dims:
-            if dim_k == 0:
-                continue
-            j = k + 2
-            i = w.bit_count() - j  # i >= 0: a relative face has fewer than |W| vertices
-            table[(i, j)] = table.get((i, j), 0) + dim_k
+        for k, dim_k in _reduced_homology(bits & below, w, h, p):
+            if dim_k:
+                j = k + 2
+                i = w.bit_count() - j  # i >= 0: a relative face has fewer than |W| vertices
+                table[(i, j)] = table.get((i, j), 0) + dim_k
     return table
 
 

@@ -1,11 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from numpy._core._exceptions import _ArrayMemoryError
 
 from shiftlab import InvariantError, from_facets, to_json
 from shiftlab.complexes import from_json_dict
-from shiftlab import exterior, gfp, homology, lexsegment, section4, verify
+from shiftlab import cli, exterior, gfp, homology, lexsegment, section4, verify
 from shiftlab.cli import main
 
 from support import classified_section4, forbid_bit_view
@@ -75,6 +77,46 @@ def test_betti_on_a_simplex_refuses_bad_field(tmp_path, capsys):
     assert main(["betti", str(path), "--field", "4"]) == 2
     out = capsys.readouterr()
     assert out.out == "" and "field size 4 is not a prime" in out.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["betti", "SHIFTED", "--method", "shifted", "--field", "4"],
+        ["section4", "--phase", "build", "--prime", "4"],
+        ["section4", "--phase", "classify", "--prime", "4"],
+        ["section4", "--phase", "negatives", "--skip-gin", "--prime", "4"],
+    ],
+    ids=["betti-shifted", "section4-build", "section4-classify", "section4-negatives-skip-gin"],
+)
+def test_a_field_the_command_never_uses_is_still_refused(tmp_path, argv, capsys):
+    path = tmp_path / "shifted.json"
+    path.write_text(to_json(from_facets(3, [[2, 3], [1, 3]])))
+    assert main([str(path) if a == "SHIFTED" else a for a in argv]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert len(out.err.splitlines()) == 1 and out.err.startswith("shiftlab: error: field size 4 is not a prime")
+
+
+@pytest.mark.parametrize(
+    "exc, message",
+    [
+        (MemoryError(), "out of memory"),
+        (_ArrayMemoryError((6171, 12614), np.dtype(np.float64)),
+         "Unable to allocate 594. MiB for an array with shape (6171, 12614) and data type float64"),
+    ],
+    ids=["bare", "numpy"],
+)
+def test_out_of_memory_exits_2_with_one_line(monkeypatch, path_graph_path, exc, message, capsys):
+    # the error is raised, not provoked: nothing large is allocated
+    def no_memory(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "gin", no_memory)
+    assert main(["gin", path_graph_path]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == [f"shiftlab: error: {message}"]
 
 
 @pytest.mark.parametrize("seed", ["0", "1", "2"])

@@ -9,9 +9,11 @@ from shiftlab import (
     betti_leq,
     delta_lex,
     f_vector,
+    from_faces,
     from_facets,
     full_simplex,
     hochster_betti,
+    is_shifted,
     minimal_nonfaces,
     reduced_homology_dims,
     shift_to_shifted,
@@ -20,7 +22,7 @@ from shiftlab import (
 from shiftlab import gfp, homology
 from shiftlab.complexes import InvariantError, _mask_list, _vertex_bits, restriction
 from shiftlab.faces import members_of
-from shiftlab.homology import _critical, _outside_star, _reduced_dims, _subsets_below, betti_tsv, boundary_matrix
+from shiftlab.homology import _reduced_dims, _reduced_homology, _subsets_below, betti_tsv, boundary_matrix
 from shiftlab.verify import random_complex
 
 from support import (
@@ -28,6 +30,7 @@ from support import (
     brute_hochster_betti,
     k_polynomials,
     numpy_reduced_homology_dims,
+    section4_gin,
     subsets_of,
 )
 
@@ -202,30 +205,38 @@ def _padded(dims, length):
     return tuple(dims) + (0,) * (length - len(dims))
 
 
+def _swapped(cx, a, b):
+    """cx with the vertices a and b exchanged."""
+    def swap(f):
+        bits = (f >> (a - 1) ^ f >> (b - 1)) & 1
+        return f ^ (bits << (a - 1) | bits << (b - 1))
+    return from_faces(cx.n, map(swap, cx.faces))
+
+
 def test_homology_relative_to_every_vertex_star_is_that_of_the_induced_subcomplex():
-    # H~(D_W) = H(D_W, st v) whichever vertex v of W is coned off: the
-    # relative chains are the faces F of D_W with F + v not a face, and
-    # the empty face is never among them
+    # H~(D_W) = H(D_W, st v) whichever vertex v of W is coned off: each v
+    # is swapped onto W's top, where the routine cones off, and every
+    # result is checked against the numpy oracle on the renumbered D_W
     for n in (6, 7, 8):
         h = _vertex_bits(n)
         for density, seed in itertools.product((0.02, 0.05, 0.1), (1, 2)):
             cx = random_complex(n, density, seed)
+            swaps = {(v, top): _swapped(cx, v, top) for top in range(1, n + 1) for v in range(1, top + 1)}
             for w, below in _subsets_below(n):
                 if w in cx.faces:
                     continue
                 induced = {f for f in cx.faces if not f & ~w}
-                d = cx.bits & below
-                assert set(_mask_list(d)) == induced
+                assert set(_mask_list(cx.bits & below)) == induced
                 sub = restriction(cx, w)
                 assert len(sub.faces) == len(induced)
-                expected = {p: _padded(reduced_homology_dims(sub, p), n + 1) for p in (2, 3)}
+                expected = {p: _padded(numpy_reduced_homology_dims(sub, p), n + 1) for p in (2, 3)}
                 for v in members_of(w):
-                    faces = _mask_list(_outside_star(d, v, h[v]))
-                    bit = 1 << (v - 1)
-                    assert set(faces) == {f for f in induced if f | bit not in cx.faces}
-                    assert 0 not in faces
+                    d = swaps[(v, w.bit_length())].bits & below
                     for p in (2, 3):
-                        assert _padded(_reduced_dims(faces, p), n + 1) == expected[p]
+                        dims = [0] * (n + 1)
+                        for k, dim_k in _reduced_homology(d, w, h, p):
+                            dims[k + 1] = dim_k
+                        assert tuple(dims) == expected[p]
 
 
 def _cone(cx):
@@ -236,26 +247,26 @@ def _cone(cx):
 def test_hochster_skips_every_subset_that_induces_a_cone(monkeypatch):
     # a cone's face ideal is its base's, in one more variable, so the two
     # tables agree; a W holding the apex has the apex on top, induces a
-    # cone on it and is skipped, so the cone passes the cone test (a
-    # nonzero top-vertex relative set) for exactly the subsets its base
-    # passes, and eliminates exactly as many
-    calls, eliminated = [], []
-    outside, reduce = homology._outside_star, homology._reduced_dims
-    monkeypatch.setattr(homology, "_outside_star", lambda *a: (r := outside(*a)) and calls.append(1) or r)
+    # cone on it and has no homology, so the cone gets a nonempty result
+    # for exactly the subsets its base does, and eliminates exactly as
+    # many
+    results, eliminated = [], []
+    homology_of, reduce = homology._reduced_homology, homology._reduced_dims
+    monkeypatch.setattr(homology, "_reduced_homology", lambda *a: (r := list(homology_of(*a))) and results.append(1) or r)
     monkeypatch.setattr(homology, "_reduced_dims", lambda *a: eliminated.append(1) or reduce(*a))
     cyc = from_facets(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
     bases = [cyc, RP2, random_complex(6, 0.1, 3), random_complex(7, 0.05, 4)]
     for base in bases:
         cone = _cone(base)
         for p in (2, 3):
-            calls.clear()
+            results.clear()
             eliminated.clear()
             table = hochster_betti(base, p)
-            reduced, base_eliminated = len(calls), len(eliminated)
-            calls.clear()
+            nonempty, base_eliminated = len(results), len(eliminated)
+            results.clear()
             eliminated.clear()
             assert hochster_betti(cone, p) == table == brute_hochster_betti(cone, p)
-            assert len(calls) == reduced > 0
+            assert len(results) == nonempty > 0
             assert len(eliminated) == base_eliminated
 
 
@@ -280,38 +291,70 @@ def test_hochster_passes_a_nonempty_face_list(monkeypatch):
             assert seen == []
 
 
-def test_chained_matchings_count_the_homology_they_claim_to():
-    # the oracle for Hochster's shortcut: on every non-face W that is no
-    # cone on its top vertex, the elimination of the top vertex's relative
-    # faces is all zero when the element matchings leave no critical face,
-    # and has one nonzero entry, at the critical faces' size k (that is,
-    # dim H~_{k-1}), equal to their count when they all have k vertices
+def _matched_off(faces, w):
+    """The relative faces of W's top vertex v (the faces F with F + v not
+    a face) and the faces that the element matchings on W's other
+    vertices, ascending, leave unmatched among them, by sets."""
+    top = 1 << (w.bit_length() - 1)
+    relative = {f for f in faces if f | top not in faces}
+    rest = set(relative)
+    for u in members_of(w ^ top):
+        b = 1 << (u - 1)
+        low = {f for f in rest if not f & b and f | b in rest}
+        rest -= low | {f | b for f in low}
+    return relative, rest
+
+
+def test_chained_matchings_count_the_homology_they_claim_to(monkeypatch):
+    # the oracle for Hochster's shortcut: on every non-face W, the
+    # elimination of the top vertex's relative faces is all zero when the
+    # element matchings leave no critical face, and has one nonzero entry,
+    # at the critical faces' size k (that is, dim H~_{k-1}), equal to
+    # their count when they all have k vertices; the routine eliminates
+    # exactly when the critical faces have more than one size
+    eliminated = []
+    reduce = homology._reduced_dims
+    monkeypatch.setattr(homology, "_reduced_dims", lambda *a: eliminated.append(1) or reduce(*a))
     corpus = [cx for n in range(1, 5) for cx in all_strict_complexes(n)]
     corpus += [random_complex(n, density, seed) for n in (6, 7, 8)
                for density in (0.01, 0.02, 0.03, 0.06, 0.1) for seed in (1, 2, 3)]
-    seen = {"none": 0, "one size": 0, "mixed": 0}
+    seen = {"cone": 0, "none": 0, "one size": 0, "mixed": 0}
     for cx in corpus:
         h = _vertex_bits(cx.n)
         for w, below in _subsets_below(cx.n):
             if cx.bits >> w & 1:
                 continue
-            v = w.bit_length()
-            relative = _outside_star(cx.bits & below, v, h[v])
-            if not relative:
-                continue
-            critical = _mask_list(_critical(relative, w, h))
-            assert set(critical) <= set(_mask_list(relative))
+            relative, critical = _matched_off(set(_mask_list(cx.bits & below)), w)
             sizes = {f.bit_count() for f in critical}
-            kind = "none" if not sizes else "one size" if len(sizes) == 1 else "mixed"
+            kind = "cone" if not relative else "none" if not sizes else "one size" if len(sizes) == 1 else "mixed"
             seen[kind] += 1
             for p in (2, 3):
-                dims = _reduced_dims(_mask_list(relative), p)
-                if kind == "none":
-                    assert not any(dims)
+                want = [(k, d) for k, d in enumerate(reduce(sorted(relative), p), start=-1) if d]
+                eliminated.clear()
+                got = [(k, d) for k, d in homology._reduced_homology(cx.bits & below, w, h, p) if d]
+                assert got == want
+                assert bool(eliminated) == (kind == "mixed")
+                if kind in ("cone", "none"):
+                    assert want == []
                 elif kind == "one size":
                     (k,) = sizes
-                    assert [(i, d) for i, d in enumerate(dims) if d] == [(k, len(critical))]
+                    assert want == [(k - 1, len(critical))]
     assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_shifted_homology_counts_the_faces_off_the_cone_vertex(p):
+    # in a complex shifted toward n, dim H~_{k-1} is the number of k-vertex
+    # faces F with n not in F and F + n not a face
+    corpus = [cx for n in range(2, 6) for cx in all_strict_complexes(n) if is_shifted(cx)]
+    assert len(corpus) == 116
+    for cx in corpus + [section4_gin()]:
+        top = 1 << (cx.n - 1)
+        counts = [0] * (cx.dim + 2)
+        for f in cx.faces:
+            if not f & top and f | top not in cx.faces:
+                counts[f.bit_count()] += 1
+        assert reduced_homology_dims(cx, p) == tuple(counts)
 
 
 @pytest.mark.parametrize("p", [2, 32003])
