@@ -149,12 +149,12 @@ def pivot_columns(mat, p: int) -> list[int]:
     pivots: list[int] = []
 
     for c in range(nc):
-        col = (M[:live, c] - F[:live, :k] @ R[:k, c]) % p if k else M[:live, c]
+        col = (M[:live, c] - F[:live, :k] @ R[:k, c]) % p
         t = int(col.argmax())
         if not col[t]:
             continue
         pivots.append(c)
-        R[k, c + 1 :] = (M[t, c + 1 :] - F[t, :k] @ R[:k, c + 1 :]) % p if k else M[t, c + 1 :]
+        R[k, c + 1 :] = (M[t, c + 1 :] - F[t, :k] @ R[:k, c + 1 :]) % p
         F[:live, k] = col * pow(int(col[t]), p - 2, p) % p
         live -= 1
         if live == 0:

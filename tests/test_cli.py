@@ -348,6 +348,18 @@ def test_gin_command(path_graph_path, capsys):
         assert row["pivot_count"] >= len(row["new_generators"])
 
 
+def test_gin_refuses_a_result_with_the_wrong_homology_exit_2(tmp_path, capsys):
+    # RP2 over GF(3): the one agreeing pair of draws keeps its GF(2) homology
+    path = tmp_path / "rp2.json"
+    facets = ["123", "134", "145", "156", "126", "235", "245", "246", "346", "356"]
+    path.write_text(json.dumps({"n": 6, "facets": [[int(v) for v in f] for f in facets]}))
+    assert main(["gin", str(path), "--prime", "3", "--seed", "1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert len(out.err.splitlines()) == 1 and out.err.startswith("shiftlab: error: no generic pair of draws over GF(3)")
+    assert main(["gin", str(path)]) == 0
+
+
 def test_invariant_failure_is_not_a_refusal(monkeypatch, path_graph_path, capsys):
     # a failed invariant is a library bug: it escapes main, never exit 2
     monkeypatch.setattr(gfp, "pivot_columns", lambda M, p: [])

@@ -343,6 +343,9 @@ def test_ideal_degree_slice():
     assert {members_of(m) for m in ideal_degree_slice(cyc, 2)} == {(1, 3), (2, 4)}
     assert len(ideal_degree_slice(cyc, 3)) == 4
     assert ideal_degree_slice(full_simplex(4), 3) == frozenset()
+    for d in (-1, 5):
+        with pytest.raises(ValueError, match="degree out of range"):
+            ideal_degree_slice(full_simplex(4), d)
 
 
 def test_m_leq_example():

@@ -18,6 +18,7 @@ from shiftlab import (
     minimal_nonfaces,
     phi_image_matrix,
     random_gl,
+    reduced_homology_dims,
     shift_ij,
     shift_to_shifted,
 )
@@ -197,6 +198,12 @@ def test_phi_image_of_the_full_set_is_the_determinant(p):
 def test_phi_image_refuses_a_stack_of_non_square_matrices():
     with pytest.raises(ValueError, match="not a square matrix or a stack of them"):
         phi_image_matrix([0b001], 1, np.ones((2, 3, 4), dtype=np.int64), 7)
+
+
+@pytest.mark.parametrize("d", [0, 5])
+def test_phi_image_refuses_a_degree_outside_1_n(d):
+    with pytest.raises(ValueError, match="degree out of range"):
+        phi_image_matrix([], d, random_gl(4, 7, 1).entries, 7)
 
 
 def test_phi_image_refuses_rows_that_are_not_d_subsets():
@@ -441,14 +448,14 @@ def test_face_side_matches_ideal_side():
             slice_d = ideal_degree_slice(cx, d)
             if not 0 < len(slice_d) < comb(n, d):
                 continue
-            bits_d = complexes._slice_bits(n, cx.bits, d)
+            bits_d, layer = complexes._slice_bits(n, cx.bits, d), complexes._layer_bits(n, d)
             for phi in draws:
                 ideal = direct_eliminate(slice_d, d, phi, on_faces=False)
                 assert direct_eliminate(slice_d, d, phi, on_faces=True) == ideal
                 for on_faces in (False, True):
-                    assert unpacked(exterior._eliminate(bits_d, d, (phi,), on_faces)[0]) == ideal
+                    assert unpacked(exterior._eliminate(bits_d, d, (phi,), on_faces, layer)[0]) == ideal
             for on_faces in (False, True):
-                assert exterior._eliminate(bits_d, d, (identity,), on_faces) == [bits_d]
+                assert exterior._eliminate(bits_d, d, (identity,), on_faces, layer) == [bits_d]
             compared[comb(n, d) - len(slice_d) < len(slice_d)] += 1
             complemented += 2 * d > n
     assert min(compared.values()) >= 100
@@ -608,7 +615,7 @@ def test_rank_check_guards_both_routes(monkeypatch):
         assert 0 < slice_d.bit_count() < comb(8, d)
         for on_faces in (False, True):
             with pytest.raises(InvariantError, match="must be independent"):
-                exterior._eliminate(slice_d, d, (phi,), on_faces)
+                exterior._eliminate(slice_d, d, (phi,), on_faces, complexes._layer_bits(8, d))
 
 
 def test_gin_builds_each_slice_once(monkeypatch):
@@ -642,6 +649,55 @@ def test_genericity_error_names_first_differing_degree(monkeypatch):
     cx = from_facets(5, pairs + [[1, 2, 3]])  # first non-shifted slice: degree 3
     with pytest.raises(exterior.GenericityError, match=r"across 3 attempts; .* per attempt: \[3, 3, 3\]"):
         gin(cx, seed=1)
+
+
+# the real projective plane on 6 vertices: H~_1 = H~_2 = GF(2) over GF(2),
+# acyclic over every other field
+RP2 = from_facets(6, [[1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 6], [1, 2, 6],
+                      [2, 3, 5], [2, 4, 5], [2, 4, 6], [3, 4, 6], [3, 5, 6]])
+
+
+def test_gin_refuses_agreeing_draws_that_change_reduced_homology():
+    # at p = 3 and seed 1 the first pair of draws agrees on a shifted
+    # complex with RP2's homology over GF(2), which is not Delta^e in
+    # characteristic 3; the other two pairs disagree in degree 3
+    assert reduced_homology_dims(RP2, 2) == (0, 0, 1, 1)
+    assert reduced_homology_dims(RP2, 3) == (0, 0, 0, 0)
+    with pytest.raises(exterior.GenericityError, match=r"GF\(3\) across 3 attempts; .* per attempt: \['H~', 3, 3\]"):
+        gin(RP2, 3, 1)
+    assert reduced_homology_dims(gin(RP2), P) == (0, 0, 0, 0)
+
+
+def test_gin_retries_after_a_homology_mismatch(monkeypatch):
+    # a mismatch is one failed attempt: the next pair of draws runs
+    real_dims, real_gl = exterior.reduced_homology_dims, exterior.random_gl
+    checks, draws = [], []
+
+    def first_result_mismatches(cx, p):
+        checks.append(cx)
+        dims = real_dims(cx, p)
+        return dims + (1,) if len(checks) == 2 else dims
+
+    monkeypatch.setattr(exterior, "reduced_homology_dims", first_result_mismatches)
+    monkeypatch.setattr(exterior, "random_gl", lambda n, p, seed: draws.append(seed) or real_gl(n, p, seed))
+    cx = random_facet_complex(random.Random(17), 6)
+    result = gin(cx, seed=1)
+    assert draws == [1, 1 + 7919, 1 + 1_000_003, 1 + 1_000_003 + 7919]
+    assert [c.bits for c in checks] == [cx.bits, result.bits, result.bits]
+    monkeypatch.undo()
+    assert gin(cx, seed=1).faces == result.faces
+
+
+@pytest.mark.parametrize(
+    "drawn, message",
+    [(from_facets(3, [[1, 2], [3]]), "failed shiftedness check"), (full_simplex(3), "changed the f-vector")],
+    ids=["not-shifted", "other-f-vector"],
+)
+def test_gin_refuses_agreeing_draws_on_a_wrong_complex(monkeypatch, drawn, message):
+    # both draws return the same slices, of a complex gin cannot return
+    monkeypatch.setattr(exterior, "_gin_draw", lambda slices, *phis: tuple(slice_bits(drawn) for _ in phis))
+    with pytest.raises(exterior.GenericityError, match=message):
+        gin(from_facets(3, [[1, 2], [2, 3]]))
 
 
 def test_errors_exported_from_the_package():

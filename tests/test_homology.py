@@ -67,6 +67,12 @@ def test_boundary_past_the_top_layer_is_empty():
     assert boundary_matrix(tri, 3, 2).shape == (0, 0)
 
 
+def test_boundary_matrix_refuses_a_negative_dimension():
+    tri = from_facets(3, [[1, 2], [2, 3], [1, 3]])
+    with pytest.raises(ValueError, match="k must be nonnegative"):
+        boundary_matrix(tri, -1, 2)
+
+
 @pytest.mark.parametrize("p", [0, 1, 4])
 def test_boundary_matrix_refuses_bad_field(p):
     tri = from_facets(3, [[1, 2], [2, 3], [1, 3]])

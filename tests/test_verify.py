@@ -59,6 +59,12 @@ def test_random_complex_rejects_bad_n():
         random_complex(21, 0.5, 1)
 
 
+@pytest.mark.parametrize("density", [-0.1, 1.5])
+def test_random_complex_rejects_a_density_outside_0_1(density):
+    with pytest.raises(ValueError, match="density must be a probability"):
+        random_complex(5, density, 1)
+
+
 def test_verify_theorems_refuses_negative_trials():
     with pytest.raises(ValueError, match="trials must be at least 0"):
         verify_theorems(n=4, trials=-1, seed=1)
