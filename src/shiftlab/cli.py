@@ -199,7 +199,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except MemoryError as exc:
         message = str(exc) or "out of memory"
-    except (OSError, ValueError, KeyError, ShiftlabError) as exc:
+    except (OSError, ValueError, ShiftlabError) as exc:
         message = str(exc)
     print(f"shiftlab: error: {message}", file=sys.stderr)
     return 2

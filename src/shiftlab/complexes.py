@@ -37,8 +37,8 @@ import numpy as np
 from .faces import MAX_WALK_N, mask_of, members_of
 
 class ShiftlabError(RuntimeError):
-    """A computation gave up: a search or step limit was passed, or
-    independent random draws kept disagreeing."""
+    """A computation gave up: a user-set limit was passed (``enumerate_shifted``'s
+    state limit), or, as ``GenericityError``, every attempt of ``gin`` failed."""
 
 
 class InvariantError(AssertionError):

@@ -61,10 +61,11 @@ The infinite base field is approximated by GF(p) with uniform random
 coordinate changes, and the result is Delta^e when they are generic.
 No bound makes that sure: Schwartz-Zippel's sum_d d * r_d / p, r_d the
 rank eliminated in degree d, is 0.50 on the 15-vertex complex at
-p = 32003.  Checks guard the result instead: two draws agree, each
-passes the rank check, and the result is shifted with the input's
-f-vector and reduced homology over GF(p).  A degree slice is one
-integer: its bits on the 2^n-bit view (``complexes._slice_bits``).
+p = 32003.  Checks guard the result instead: ``GenericityError`` means
+that no attempt's two draws agreed on a shifted complex with the
+input's reduced homology over GF(p), and ``InvariantError`` a failed
+rank check or f-vector, which no invertible draw gives.  A degree slice
+is one integer: its bits on the 2^n-bit view (``complexes._slice_bits``).
 """
 
 from __future__ import annotations
@@ -99,7 +100,8 @@ _ROW_BLOCK = 256
 
 
 class GenericityError(ShiftlabError):
-    """No pair of coordinate draws passed gin's checks; p too small or draws unlucky."""
+    """Every attempt of ``gin`` failed: its draws disagreed, or agreed on a
+    complex that is not shifted or has other reduced homology over GF(p)."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -380,12 +382,12 @@ _ATTEMPTS = 3
 def gin(cx: SimplicialComplex, p: int = 32003, seed: int = 1) -> SimplicialComplex:
     """The exterior algebraic shifted complex Delta^e, when the draws are generic.
 
-    Each attempt extracts the pivots for two independent coordinate
-    draws over GF(p), and fails when they disagree or agree on a complex
-    whose reduced homology over GF(p) is not the input's, which exterior
-    shifting keeps (Bjoerner and Kalai, Acta Math. 161, 1988).  After
-    three failed attempts, each with fresh seeds, or on a result that is
-    not shifted or changes the f-vector, it raises GenericityError.
+    Each attempt, with fresh seeds, extracts the pivots for two
+    independent coordinate draws over GF(p), and passes when they agree
+    on a shifted complex with the input's reduced homology over GF(p),
+    which exterior shifting keeps (Bjoerner and Kalai, Acta Math. 161,
+    1988).  Any other outcome fails the attempt; after three, it raises
+    GenericityError.  A changed f-vector is a library bug: InvariantError.
     These checks, not a bound, guard the result: see the module docstring.
     """
     slices = {d: _slice_bits(cx.n, cx.bits, d) for d in range(cx.n + 1)}
@@ -393,20 +395,21 @@ def gin(cx: SimplicialComplex, p: int = 32003, seed: int = 1) -> SimplicialCompl
     failures = []
     for attempt in range(_ATTEMPTS):
         s1 = seed + 1_000_003 * attempt
-        phi1, phi2 = random_gl(cx.n, p, s1), random_gl(cx.n, p, s1 + 7919)
-        nf1, nf2 = _gin_draw(slices, phi1, phi2)
-        differing = [d for d in slices if nf1[d] != nf2[d]]
-        if not differing:
+        nf1, nf2 = _gin_draw(slices, random_gl(cx.n, p, s1), random_gl(cx.n, p, s1 + 7919))
+        failure = next((d for d in slices if nf1[d] != nf2[d]), None)
+        if failure is None:
             # slices of different degrees share no bit: their sum is their union
             result = from_nonfaces(cx.n, sum(nf1.values()))
-            if not is_shifted(result):
-                raise GenericityError("generic initial complex failed shiftedness check")
             if f_vector(result) != f_vector(cx):
-                raise GenericityError("generic initial complex changed the f-vector")
-            if reduced_homology_dims(result, p) == homology:
+                raise InvariantError("the rank check fixes each |I_d|, yet the f-vector changed")
+            if not is_shifted(result):
+                failure = "not shifted"
+            elif reduced_homology_dims(result, p) != homology:
+                failure = "H~"
+            else:
                 return result
-        failures.append(differing[0] if differing else "H~")
+        failures.append(failure)
     raise GenericityError(
-        f"no generic pair of draws over GF({p}) across {_ATTEMPTS} attempts; first differing degree, "
-        f"or H~ where agreeing draws changed reduced homology, per attempt: {failures}"
+        f"no generic pair of draws over GF({p}) across {_ATTEMPTS} attempts; first differing degree, or 'not shifted' "
+        f"or 'H~' where agreeing draws gave a non-shifted complex or other reduced homology, per attempt: {failures}"
     )

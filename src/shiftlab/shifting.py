@@ -51,15 +51,10 @@ def _exchange(n: int, bits: int, i: int, j: int) -> int:
 
 
 def shift_ij(cx: SimplicialComplex, i: int, j: int) -> SimplicialComplex:
-    """Apply the exchange operator C_ij to every face.
-
-    C_ij(sigma) = (sigma - i) + j when i is in sigma, j is not, and the
-    exchanged set is not already a face; otherwise sigma is kept.  The
-    input itself is returned when no face moves.  Runs on the bit view.
-    """
-    _check_pair(cx.n, i, j)
-    out = _exchange(cx.n, cx.bits, i, j)
-    return cx if out == cx.bits else SimplicialComplex(cx.n, out)
+    """Apply the exchange operator C_ij to every face: sigma becomes
+    (sigma - i) + j when i is in sigma, j is not, and the exchanged set is
+    not already a face.  The input itself is returned when no face moves."""
+    return replay(cx, [(i, j)])
 
 
 def _all_pairs(n: int) -> list[tuple[int, int]]:
@@ -69,35 +64,34 @@ def _all_pairs(n: int) -> list[tuple[int, int]]:
 def shift_to_shifted(
     cx: SimplicialComplex, strategy: str = "sweep", seed: int = 0
 ) -> tuple[SimplicialComplex, ShiftSequence]:
-    """Iterate shift_ij until the complex is shifted.
+    """Iterate shift_ij on the bit view until the complex is shifted; returns
+    it (the input itself when no pair moves it) and the replayable sequence.
 
     Each step applies one of the pairs (i,j) whose C_ij changes the
-    complex: ``sweep`` takes the first in lexicographic order
-    (deterministic), ``random`` a seeded uniform choice among them.  No
-    pair changes the complex exactly when it is shifted, which ends the
-    loop.  Returns the shifted complex and the replayable sequence.
-    The steps run on the bit view.
+    complex: ``sweep`` the first in lexicographic order, ``random`` a
+    seeded uniform choice.  No pair changes the complex exactly when it is
+    shifted.  The loop needs no step cap: with Phi the sum of v over the
+    faces F and v in F, a step moves at least one face, each by j - i >= 1,
+    so it raises Phi, and 0 <= Phi <= |Delta| * n(n+1)/2.  So there are at
+    most Phi(result) - Phi(input) steps.
     """
     if strategy not in ("sweep", "random"):
         raise ValueError(f"unknown strategy {strategy!r}")
     n = cx.n
     rng = random.Random(seed)
-    max_steps = 10 * n * n * cx.bits.bit_count()
     pairs = _all_pairs(n)
     seq: list[tuple[int, int]] = []
     state = cx.bits
     while True:
-        moving = ((i, j) for i, j in pairs if _moved(n, state, i, j))
+        moving = ((pair, nxt) for pair in pairs if (nxt := _exchange(n, state, *pair)) != state)
         if strategy == "sweep":
-            pick = next(moving, None)
+            step = next(moving, None)
         else:
             moving = list(moving)
-            pick = moving[rng.randrange(len(moving))] if moving else None
-        if pick is None:
+            step = moving[rng.randrange(len(moving))] if moving else None
+        if step is None:
             break
-        if len(seq) >= max_steps:
-            raise ShiftlabError("shift iteration limit exceeded")
-        state = _exchange(n, state, *pick)
+        pick, state = step
         seq.append(pick)
     if not _shifted_bits(n, state):
         raise InvariantError("no pair moves, yet the complex is not shifted")
@@ -105,11 +99,14 @@ def shift_to_shifted(
 
 
 def replay(cx: SimplicialComplex, seq: Iterable[tuple[int, int]]) -> SimplicialComplex:
-    """Apply a recorded shift sequence."""
-    cur = cx
+    """Apply a recorded shift sequence on the bit view; the input itself
+    when no face moves, since each step that moves one raises Phi
+    (``shift_to_shifted``)."""
+    state = cx.bits
     for i, j in seq:
-        cur = shift_ij(cur, i, j)
-    return cur
+        _check_pair(cx.n, i, j)
+        state = _exchange(cx.n, state, i, j)
+    return cx if state == cx.bits else SimplicialComplex(cx.n, state)
 
 
 def enumerate_shifted(

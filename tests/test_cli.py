@@ -119,6 +119,16 @@ def test_out_of_memory_exits_2_with_one_line(monkeypatch, path_graph_path, exc, 
     assert out.err.splitlines() == [f"shiftlab: error: {message}"]
 
 
+def test_a_key_error_inside_a_command_is_not_a_refusal(monkeypatch, path_graph_path):
+    # no input raises KeyError, so one from the library is a bug and surfaces
+    def missing(*args, **kwargs):
+        raise KeyError("missing")
+
+    monkeypatch.setattr(cli, "gin", missing)
+    with pytest.raises(KeyError, match="missing"):
+        main(["gin", path_graph_path])
+
+
 @pytest.mark.parametrize("seed", ["0", "1", "2"])
 def test_verify_refuses_n_above_20_before_any_trial(monkeypatch, seed, capsys):
     def no_trial(*args):

@@ -27,7 +27,7 @@ from shiftlab.complexes import ideal_degree_slice, ideal_slices, m_leq
 from shiftlab.exterior import GenericMatrix
 from shiftlab.faces import all_faces
 from shiftlab.verify import random_complex
-from support import bareiss_det, direct_eliminate, laplace_det, members_wedge_step, row_block_phi_image_matrix
+from support import all_strict_complexes, bareiss_det, direct_eliminate, laplace_det, members_wedge_step, row_block_phi_image_matrix
 
 P = 32003
 
@@ -689,15 +689,56 @@ def test_gin_retries_after_a_homology_mismatch(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "drawn, message",
-    [(from_facets(3, [[1, 2], [3]]), "failed shiftedness check"), (full_simplex(3), "changed the f-vector")],
+    "drawn, error, message, attempts",
+    [
+        # the path 2-1-3 has the input's f-vector and homology, but is not shifted
+        (from_facets(3, [[1, 2], [1, 3]]), exterior.GenericityError,
+         r"per attempt: \['not shifted', 'not shifted', 'not shifted'\]", 3),
+        # the rank check fixes every |I_d|, so another f-vector is a library bug
+        (full_simplex(3), InvariantError, "the f-vector changed", 1),
+    ],
     ids=["not-shifted", "other-f-vector"],
 )
-def test_gin_refuses_agreeing_draws_on_a_wrong_complex(monkeypatch, drawn, message):
-    # both draws return the same slices, of a complex gin cannot return
-    monkeypatch.setattr(exterior, "_gin_draw", lambda slices, *phis: tuple(slice_bits(drawn) for _ in phis))
-    with pytest.raises(exterior.GenericityError, match=message):
+def test_gin_refuses_agreeing_draws_on_a_wrong_complex(monkeypatch, drawn, error, message, attempts):
+    # both draws return the same slices, of a complex gin cannot return: a
+    # complex that is not shifted fails one attempt, and gin draws again
+    draws = []
+    monkeypatch.setattr(
+        exterior, "_gin_draw", lambda slices, *phis: draws.append(phis) or tuple(slice_bits(drawn) for _ in phis)
+    )
+    with pytest.raises(error, match=message):
         gin(from_facets(3, [[1, 2], [2, 3]]))
+    assert len(draws) == attempts
+
+
+def test_gin_at_a_small_prime_returns_only_the_large_prime_result():
+    # a pair of agreeing draws whose result is not shifted is one failed
+    # attempt, not the end of the run; every complex gin returns at a
+    # small prime is the p = 32003 one on this corpus
+    corpus = [cx for n in range(2, 5) for cx in all_strict_complexes(n)]
+    assert len(corpus) == 125
+    want = [gin(cx, P, 1) for cx in corpus]
+    returned = {}
+    for p in (3, 5, 7):
+        returned[p] = 0
+        for cx, w in zip(corpus, want):
+            try:
+                got = gin(cx, p, 1)
+            except exterior.GenericityError:
+                continue
+            assert got == w
+            returned[p] += 1
+    assert returned == {3: 77, 5: 106, 7: 107}
+
+
+def test_gin_draws_again_after_agreeing_draws_that_are_not_shifted():
+    # at p = 5 and seed 1 the first pair of draws differs in degree 2, the
+    # second agrees on a complex that is not shifted, and the third gives
+    # the p = 32003 result
+    cx = from_facets(4, [[1, 3], [2, 3], [4]])
+    want = from_facets(4, [[1], [2, 4], [3, 4]])
+    assert gin(cx, P, 1) == want
+    assert gin(cx, 5, 1) == want
 
 
 def test_errors_exported_from_the_package():

@@ -110,6 +110,20 @@ def test_shift_to_shifted_matches_per_strategy_loops():
     assert moved >= 100
 
 
+def _phi(cx):
+    """The sum of v over the faces F and the vertices v in F."""
+    return sum(sum(members_of(f)) for f in cx.faces)
+
+
+def test_shift_to_shifted_steps_are_bounded_by_the_vertex_sum():
+    # each step raises Phi by j - i per moved face, so the loop needs no cap
+    for k, cx in enumerate(cx for n in range(2, 5) for cx in all_strict_complexes(n)):
+        for strategy in ("sweep", "random"):
+            out, seq = shift_to_shifted(cx, strategy, seed=k)
+            assert len(seq) <= _phi(out) - _phi(cx)
+            assert (out is cx) == (not seq)
+
+
 @pytest.mark.parametrize("n, density, seed", SEEDED, ids=[f"n{n}-seed{seed}" for n, _, seed in SEEDED])
 def test_bit_view_matches_face_by_face_oracles(n, density, seed):
     """shift_ij, is_shifted, shift_to_shifted (both strategies) and
