@@ -14,9 +14,12 @@ Closure, shiftedness, the exchange operators of ``shifting``, the
 facets, the minimal non-faces and the degree slices of I_Delta run on
 the bit view as a few big-integer operations against cached indicator
 integers: H_v (the masks containing v) and L_d (the masks with d
-members).  A set of monomials of one degree is a subset of the bits of
-L_d; only ``faces``, ``ideal_degree_slice`` and ``ideal_slices`` unpack
-frozensets of masks.  The ground-set bound is checked once, when a
+members).  Closure is one ascending sweep over the vertices,
+bits |= (bits & H_v) >> 2^(v-1) for v = 1..n: it reaches every subset
+S of a face F, since removing F - S lowest vertex first passes only
+through masks the sweep has already added.  A set of monomials of one
+degree is a subset of the bits of L_d; only ``faces``,
+``ideal_degree_slice`` and ``ideal_slices`` unpack frozensets of masks.  The ground-set bound is checked once, when a
 complex is built, before anything of size 2^n is allocated.
 
 ``restriction``, ``ideal_degree_slice``, ``ideal_slices`` and ``m_leq``
@@ -56,7 +59,7 @@ class SimplicialComplex:
 
     def __post_init__(self):
         """Refuse a bit view that is no complex on [n]: downward closed
-        iff the shadow adds no bit, and every singleton (each bit of L_1)
+        iff the closure adds no bit, and every singleton (each bit of L_1)
         set, which puts the empty face in too."""
         n, bits = self.n, self.bits
         check_ground_set(n)
@@ -64,11 +67,9 @@ class SimplicialComplex:
             raise TypeError(f"bits must be an int, not {type(bits).__name__}")
         if bits < 0 or bits.bit_length() > 1 << n:
             raise ValueError(f"bits must lie in [0, 2^(2^{n})): a face mask is below 2^{n}")
-        below = _shadow(n, bits)
-        if below ^ (below & bits):
+        if _closure(n, bits) != bits:
             raise ValueError("face family is not downward-closed")
-        singletons = _layer_bits(n, 1)
-        if missing := singletons ^ (singletons & bits):
+        if missing := _slice_bits(n, bits, 1):
             vertices = [m.bit_length() for m in _mask_list(missing)]
             raise ValueError(f"every vertex of [{n}] must be a face; missing {vertices}")
 
@@ -175,6 +176,15 @@ def _shadow(n: int, bits: int) -> int:
     return out
 
 
+def _closure(n: int, bits: int) -> int:
+    """The downward closure of a bit view: one sweep removing each vertex
+    v = 1..n in turn from every set mask that holds it."""
+    h = _vertex_bits(n)
+    for v in range(1, n + 1):
+        bits |= (bits & h[v]) >> (1 << (v - 1))
+    return bits
+
+
 def _upper_shadow(n: int, bits: int) -> int:
     """Bit f | 2^(v-1) for every set bit f < 2^n and every vertex v not
     in f: the masks one vertex past a set one."""
@@ -223,15 +233,15 @@ def from_facets(n: int, facets: Iterable) -> SimplicialComplex:
     """Downward closure of the given facets (plus the empty face).
 
     Facets may be bitmasks or iterables of vertices.  The closure runs on
-    the bit view: the shadow is added until it adds nothing.
+    the bit view in one ascending sweep over the vertices, bits |= (bits &
+    H_v) >> 2^(v-1) for v = 1..n.  It reaches every subset S of a facet F:
+    removing F - S lowest vertex first passes only through masks the
+    sweep has already added.
     """
     check_ground_set(n)
     masks = [f if isinstance(f, int) else mask_of(f) for f in facets]
     _check_within(n, masks)
-    bits = _bits_of(n, masks) | 1
-    while (below := _shadow(n, bits)) ^ (below & bits):
-        bits |= below
-    return SimplicialComplex(n, bits)
+    return SimplicialComplex(n, _closure(n, _bits_of(n, masks) | 1))
 
 
 def from_nonfaces(n: int, nonfaces: int) -> SimplicialComplex:

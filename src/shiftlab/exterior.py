@@ -132,13 +132,15 @@ class GenericMatrix:
 
 
 def random_gl(n: int, p: int, seed: int) -> GenericMatrix:
-    """Uniform random invertible matrix over GF(p); resamples until invertible."""
+    """Uniform random invertible matrix over GF(p); resamples until
+    invertible.  Refuses a negative seed before it draws."""
     p = gfp.check_field(p)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, not {seed}")
     rng = np.random.default_rng(seed)
     while True:
-        g = rng.integers(0, p, size=(n, n), dtype=np.int64)
         try:
-            return GenericMatrix(n, p, seed, g)
+            return GenericMatrix(n, p, seed, rng.integers(0, p, size=(n, n), dtype=np.int64))
         except gfp.SingularMatrixError:
             continue
 

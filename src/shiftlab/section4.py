@@ -16,8 +16,9 @@ pairs on the same complex and checks that it finds the same 16.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import takewhile
+from operator import or_
 from time import perf_counter
 
 from .complexes import (
@@ -84,10 +85,10 @@ def terminal_segment(d: int) -> int:
     return _bits_of(N, takewhile(lambda m: m != threshold, all_faces(N, d)))
 
 
+@lru_cache(maxsize=None)
 def block_monomials(d: int, block) -> int:
     """Bits of T_d(H): the prefix monomial wedged with each pair of the block."""
-    prefix = mask_of(_H_PREFIX[d])
-    return _bits_of(N, (prefix | mask_of(pair) for pair in block))
+    return reduce(or_, (1 << mask_of(_H_PREFIX[d] + pair) for pair in block))
 
 
 def section4_build() -> SimplicialComplex:

@@ -57,7 +57,7 @@ def forbid_bit_view(monkeypatch):
         raise AssertionError("a bit view was built")
 
     monkeypatch.setattr(complexes, "_bits_of", no_bit_view)
-    monkeypatch.setattr(complexes, "_shadow", no_bit_view)
+    monkeypatch.setattr(complexes, "_closure", no_bit_view)
 
 
 def subsets_of(mask):

@@ -70,6 +70,18 @@ def test_bad_field_or_retries_exit_2(cycle_path, command, flags, capsys):
         assert f"field size {flags[1]} is not a prime" in out.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["gin", "CYCLE", "--seed", "-1"], ["section4", "--phase", "negatives", "--seed", "-1"]],
+    ids=["gin", "section4-negatives"],
+)
+def test_a_negative_gin_seed_exits_2_naming_the_seed(cycle_path, argv, capsys):
+    assert main([cycle_path if a == "CYCLE" else a for a in argv]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == ["shiftlab: error: seed must be a non-negative integer, not -1"]
+
+
 def test_betti_on_a_simplex_refuses_bad_field(tmp_path, capsys):
     # every vertex subset of a simplex is a face, so no homology is computed
     path = tmp_path / "simplex.json"

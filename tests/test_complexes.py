@@ -401,6 +401,21 @@ def test_subset_count_identity():
         assert total == 2**cx.n
 
 
+def test_closure_sweep_matches_subset_closure():
+    # every family of masks on n <= 3, then random families on larger ground sets
+    for n in range(1, 4):
+        for pick in range(1 << (1 << n)):
+            family = complexes._mask_list(pick)
+            want = sum(1 << f for f in brute_closure(family)) if family else 0
+            assert complexes._closure(n, pick) == want
+    for n in (10, 15, 20):
+        rng = random.Random(n)
+        for _ in range(3):
+            family = [rng.randrange(1 << n) for _ in range(rng.randint(1, 30))]
+            got = complexes._closure(n, complexes._bits_of(n, family))
+            assert complexes._mask_list(got) == sorted(brute_closure(family))
+
+
 def test_downward_closure_after_construction():
     cx = from_facets(5, [[1, 2, 3], [3, 4, 5], [2, 4]])
     for f in cx.faces:

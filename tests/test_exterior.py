@@ -1,6 +1,6 @@
 import itertools
 import random
-from math import comb
+from math import comb, isqrt
 
 import numpy as np
 import pytest
@@ -25,7 +25,7 @@ from shiftlab import (
 from shiftlab import complexes, exterior, gfp
 from shiftlab.complexes import ideal_degree_slice, ideal_slices, m_leq
 from shiftlab.exterior import GenericMatrix
-from shiftlab.faces import all_faces
+from shiftlab.faces import MAX_WALK_N, all_faces
 from shiftlab.verify import random_complex
 from support import all_strict_complexes, bareiss_det, direct_eliminate, laplace_det, members_wedge_step, row_block_phi_image_matrix
 
@@ -417,6 +417,40 @@ def test_random_gl_refuses_bad_field_before_drawing():
     for p in (0, -3, 4):
         with pytest.raises(ValueError, match="field size"):
             random_gl(3, p, 1)
+
+
+def test_random_gl_and_gin_refuse_a_negative_seed_before_drawing(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("a generator was seeded")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    for seed in (-1, -7919):
+        with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, not {seed}$"):
+            random_gl(3, P, seed)
+        with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, not {seed}$"):
+            gin(from_facets(3, [[1, 2], [3]]), P, seed)
+
+
+def test_every_admitted_prime_keeps_a_wedge_sum_inside_the_reduce_bound():
+    # phi_image_matrix adds at most MAX_WALK_N products below p, each at
+    # most (p-1)^2, and reduces the sum with gfp._reduce
+    def is_prime(q):
+        return all(q % r for r in range(2, isqrt(q) + 1))
+
+    def admitted(q):
+        try:
+            return gfp.check_field(q) == q
+        except ValueError:
+            return False
+
+    top = 2**23  # _PANEL * (2^23 - 1)^2 > 2^53, so check_field refuses it
+    assert not admitted(top)
+    largest = next(q for q in range(top, 1, -1) if admitted(q))
+    assert is_prime(largest)
+    assert MAX_WALK_N * (largest - 1) ** 2 <= gfp._REDUCE_BOUND
+    above = next(q for q in itertools.count(largest + 1) if is_prime(q))
+    with pytest.raises(ValueError, match=f"field size {above} is not a prime p with"):
+        gfp.check_field(above)
 
 
 def random_facet_complex(rng, n):

@@ -16,7 +16,7 @@ from shiftlab import (
     section4_negative_results,
     shifted_betti,
 )
-from shiftlab import enumerate_shifted, section4
+from shiftlab import complexes, enumerate_shifted, section4
 from shiftlab.complexes import _mask_list, ideal_degree_slice
 from shiftlab.section4 import (
     BLOCK_A,
@@ -54,6 +54,22 @@ def test_block_monomials_degree3():
     got = set(_mask_list(block_monomials(3, ((12, 13), (12, 15), (13, 14)))))
     want = {mask_of([1, 12, 13]), mask_of([1, 12, 15]), mask_of([1, 13, 14])}
     assert got == want
+
+
+def test_block_monomials_are_the_bits_of_their_masks(monkeypatch):
+    blocks = [(d, b) for d in DEGREES for b in (section4._H_BLOCK[d], BLOCK_A, BLOCK_B)]
+    prefix = {d: mask_of(section4._H_PREFIX[d]) for d in DEGREES}
+    want = {(d, b): complexes._bits_of(N, [prefix[d] | mask_of(pair) for pair in b]) for d, b in blocks}
+
+    def no_bit_view(*args):
+        raise AssertionError("block_monomials packed a bit view")
+
+    monkeypatch.setattr(section4, "_bits_of", no_bit_view)
+    block_monomials.cache_clear()
+    for d, b in blocks:
+        assert block_monomials(d, b) == want[d, b]
+        assert block_monomials(d, b) is block_monomials(d, b)  # built once, then cached
+    assert block_monomials.cache_info().misses == len(set(blocks)) == 18
 
 
 def test_build_shape():
